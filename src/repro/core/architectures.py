@@ -84,12 +84,6 @@ class Architecture(ABC):
         self.client_misses = 0
 
     # ------------------------------------------------------------------
-    def access_object(self, oid: int, write: bool):
-        """Process-generator performing one object access end to end."""
-        step = self.access_object_nowait(oid, write)
-        if step is not None:
-            yield from step
-
     @abstractmethod
     def access_object_nowait(self, oid: int, write: bool):
         """One object access, synchronous when no simulated time passes.
@@ -100,28 +94,16 @@ class Architecture(ABC):
         the dominant outcome once the working set is resident — or a
         generator to ``yield from`` for the part that needs the event
         loop.  Pure cache hits then cost zero generator round-trips.
-        :meth:`access_object` is a convenience wrapper over this.
         """
 
-    def begin_transaction(self):
-        """Hook before a transaction's accesses (network for DB server)."""
-        step = self.begin_transaction_nowait()
-        if step is not None:
-            yield from step
-
-    def end_transaction(self):
-        """Hook after a transaction's accesses."""
-        step = self.end_transaction_nowait()
-        if step is not None:
-            yield from step
-
     def begin_transaction_nowait(self):
-        """The envelope face subclasses override (the Transaction
-        Manager calls only this pair): ``None`` when there is no work —
-        the default for every non-DB-server class."""
+        """Hook before a transaction's accesses (network for DB server):
+        ``None`` when there is no work — the default for every
+        non-DB-server class — or a generator to ``yield from``."""
         return None
 
     def end_transaction_nowait(self):
+        """Hook after a transaction's accesses (same contract)."""
         return None
 
     # ------------------------------------------------------------------

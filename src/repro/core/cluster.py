@@ -380,11 +380,6 @@ class ClusterLockManager:
                 parts.setdefault(home_of(oid), []).append(oid)
         return sorted(parts.items())
 
-    def acquire_all(self, txn_id: int, oids: Iterable[int], writes: set):
-        step = self.acquire_all_nowait(txn_id, oids, writes)
-        if step is not None:
-            yield from step
-
     def acquire_all_nowait(
         self,
         txn_id: int,
@@ -411,11 +406,6 @@ class ClusterLockManager:
             )
             if step is not None:
                 yield from step
-
-    def release_all(self, txn_id: int, oids: Iterable[int]):
-        step = self.release_all_nowait(txn_id, oids)
-        if step is not None:
-            yield from step
 
     def release_all_nowait(
         self, txn_id: int, oids: Iterable[int], presorted: bool = False
@@ -536,6 +526,9 @@ class Cluster:
         self._committed: Dict[int, int] = {}
         #: highest version ever served per page (monotonic-reads floor).
         self._served: Dict[int, int] = {}
+        #: per-page elected primary (absent = the placement primary;
+        #: only the fault layer's elections fill it).
+        self._leader: Dict[int, int] = {}
         # Extended counters
         self.stale_reads = 0
         self.replica_applies = 0
@@ -572,8 +565,6 @@ class Cluster:
             #: tick until which the current partition holds (0 = whole).
             self._partition_until = 0
             self._group_of = self._resolve_group_of(fault, topology.servers)
-            #: per-page elected primary (absent = the placement primary).
-            self._leader: Dict[int, int] = {}
             #: per-page election-in-progress completion tick.
             self._electing: Dict[int, int] = {}
             self._repair_last = 0
@@ -1036,11 +1027,7 @@ class Cluster:
                 )
             if target is None:
                 # A session guarantee needs the (down) primary.
-                primary = (
-                    self._leader.get(page, owners[0])
-                    if self.faults_on
-                    else owners[0]
-                )
+                primary = self._leader.get(page, owners[0])
                 return self._resume_read(
                     nodes[primary].down_until, page, home
                 )
@@ -1108,11 +1095,11 @@ class Cluster:
         rep = self.replication_config
         nodes = self.nodes
         probes = 0
+        consulted = [target]
         if rep.read_quorum > 1 and len(owners) > 1:
             # Consult R live replicas (ring order from the routed node)
             # and serve from the freshest — each extra consultation is a
             # version-probe round trip on the interconnect.
-            consulted = [target]
             start = owners.index(target)
             for offset in range(1, len(owners)):
                 if len(consulted) >= rep.read_quorum:
@@ -1121,13 +1108,28 @@ class Cluster:
                 if nodes[candidate].down_until <= now:
                     consulted.append(candidate)
             probes = 2 * (len(consulted) - 1)
-            best = consulted[0]
-            best_version = nodes[best].applied.get(page, 0)
-            for candidate in consulted[1:]:
-                version = nodes[candidate].applied.get(page, 0)
-                if version > best_version:
-                    best, best_version = candidate, version
-            target = best
+        target, _version = self._read_target(page, owners, consulted, now)
+        return target, probes
+
+    def _read_target(
+        self, page: int, owners: Tuple[int, ...], consulted: List[int], now: int
+    ):
+        """The node a read is served from, and the version it holds.
+
+        Serves from the freshest of the ``consulted`` replicas (the
+        first consulted on a tie), then applies the session guarantees:
+        a replica too stale for read-your-writes / monotonic reads falls
+        back to the (elected) primary, which holds the newest version
+        when up.  The node is ``None`` when that primary is down.
+        """
+        nodes = self.nodes
+        target = consulted[0]
+        best_version = nodes[target].applied.get(page, 0)
+        for candidate in consulted[1:]:
+            version = nodes[candidate].applied.get(page, 0)
+            if version > best_version:
+                target, best_version = candidate, version
+        rep = self.replication_config
         required = 0
         if rep.read_your_writes:
             required = self._version.get(page, 0)
@@ -1135,14 +1137,12 @@ class Cluster:
             floor = self._served.get(page, 0)
             if floor > required:
                 required = floor
-        if required and nodes[target].applied.get(page, 0) < required:
-            # Too stale for the session guarantee: fall back to the
-            # primary, which always holds the newest version when up.
-            primary = owners[0]
+        if required and best_version < required:
+            primary = self._leader.get(page, owners[0])
             if nodes[primary].down_until > now:
-                return None, probes
+                return None, best_version
             target = primary
-        return target, probes
+        return target, best_version
 
     def _consistent_read_target_fault(
         self, page: int, owners: Tuple[int, ...], target: int, now: int
@@ -1164,9 +1164,9 @@ class Cluster:
         probes = 0
         penalty = 0
         repair = None
+        consulted = [target]
         if rep.read_quorum > 1 and len(owners) > 1:
             rng = nodes[target].retry_stream
-            consulted = [target]
             start = owners.index(target)
             for offset in range(1, len(owners)):
                 if len(consulted) >= rep.read_quorum:
@@ -1182,35 +1182,13 @@ class Cluster:
                 else:
                     self.abandoned_reads += 1
             probes = 2 * (len(consulted) - 1)
-            best = consulted[0]
-            best_version = nodes[best].applied.get(page, 0)
-            for candidate in consulted[1:]:
-                version = nodes[candidate].applied.get(page, 0)
-                if version > best_version:
-                    best, best_version = candidate, version
-            stale = [
-                c
-                for c in consulted
-                if nodes[c].applied.get(page, 0) < best_version
-            ]
-            if stale:
-                self.read_repairs += len(stale)
-                repair = self._read_repair(page, best_version, stale)
-            target = best
-        required = 0
-        if rep.read_your_writes:
-            required = self._version.get(page, 0)
-        if rep.monotonic_reads:
-            floor = self._served.get(page, 0)
-            if floor > required:
-                required = floor
-        if required and nodes[target].applied.get(page, 0) < required:
-            # Too stale for the session guarantee: fall back to the
-            # elected primary, which holds the newest version when up.
-            primary = self._leader.get(page, owners[0])
-            if nodes[primary].down_until > now:
-                return None, probes, penalty, repair
-            target = primary
+        target, best_version = self._read_target(page, owners, consulted, now)
+        stale = [
+            c for c in consulted if nodes[c].applied.get(page, 0) < best_version
+        ]
+        if stale:
+            self.read_repairs += len(stale)
+            repair = self._read_repair(page, best_version, stale)
         return target, probes, penalty, repair
 
     def _read_repair(self, page: int, version: int, stale: List[int]):

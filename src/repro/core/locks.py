@@ -110,15 +110,6 @@ class LockManager:
             )
         yield self.admission_release
 
-    def acquire_all(self, txn_id: int, oids: Iterable[int], writes: set):
-        """Acquire locks on every distinct object, sorted (deadlock-free).
-
-        Pays GETLOCK per lock; blocks while any lock conflicts.
-        """
-        step = self.acquire_all_nowait(txn_id, oids, writes)
-        if step is not None:
-            yield from step
-
     def acquire_all_nowait(
         self,
         txn_id: int,
@@ -126,9 +117,10 @@ class LockManager:
         writes: set,
         presorted: bool = False,
     ):
-        """Like :meth:`acquire_all`, but synchronous when possible.
+        """Acquire locks on every distinct object, sorted (deadlock-free).
 
-        Returns ``None`` when every lock was granted without paying time
+        Pays GETLOCK per lock; blocks while any lock conflicts.  Returns
+        ``None`` when every lock was granted without paying time
         (GETLOCK = 0) or waiting; otherwise a generator to ``yield from``.
 
         ``presorted`` promises ``oids`` is already a sorted sequence of
@@ -189,17 +181,13 @@ class LockManager:
                 self.wait_ticks += self.sim.now - started
             self.acquisitions += 1
 
-    def release_all(self, txn_id: int, oids: Iterable[int]):
-        """Release every lock, paying RELLOCK per lock, waking waiters."""
-        step = self.release_all_nowait(txn_id, oids)
-        if step is not None:
-            yield from step
-
     def release_all_nowait(
         self, txn_id: int, oids: Iterable[int], presorted: bool = False
     ):
-        """Like :meth:`release_all`; ``None`` when RELLOCK costs nothing
-        (releasing never blocks, so only the Hold needs the event loop)."""
+        """Release every lock, paying RELLOCK per lock, waking waiters.
+
+        ``None`` when RELLOCK costs nothing (releasing never blocks, so
+        only the Hold needs the event loop)."""
         distinct = oids if presorted else sorted(set(oids))
         release_cost = self._rellock_ticks * len(distinct)
         if release_cost > 0:

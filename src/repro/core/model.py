@@ -26,6 +26,7 @@ Public entry points:
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Optional
 
 from repro.despy.engine import Simulation
@@ -44,7 +45,13 @@ from repro.core.network import Network
 from repro.core.object_manager import ObjectManager
 from repro.core.parameters import ArrivalConfig, MemoryModel, VOODBConfig
 from repro.core.prefetch import make_prefetch_policy
-from repro.core.results import ClusteringReport, PhaseResults, SimulationResults
+from repro.core.results import (
+    COUNTERS,
+    KERNEL_COUNTERS,
+    ClusteringReport,
+    PhaseResults,
+    SimulationResults,
+)
 from repro.core.transaction_manager import TransactionManager
 from repro.core.users import Users
 from repro.core.virtual_memory import VirtualMemoryManager
@@ -212,6 +219,14 @@ class VOODBSimulation:
             failures=self.failures,
         )
         self.users = Users(self.sim, config, self.db, self.tm)
+        #: ``(field, read, ticks)`` of every declared phase counter whose
+        #: source component this model has (no ``cluster`` on a single
+        #: server: those fields keep their defaults).
+        self._counters = tuple(
+            (name, attrgetter(stat.source), stat.ticks)
+            for name, stat in COUNTERS
+            if getattr(self, stat.source.partition(".")[0]) is not None
+        )
         self._phase_counter = 0
         # Calibration of the phase being collected (aggregated tier
         # only); stashed by run_phase, consumed by _collect.
@@ -342,13 +357,9 @@ class VOODBSimulation:
         if ocb.coldn > 0:
             self.run_phase(ocb.coldn, stream_label="cold")
         phase = self.run_phase(ocb.hotn, stream_label="hot")
-        sim = self.sim
         kernel = {
-            "events_wheel_pushed": float(sim.events_wheel_pushed),
-            "events_pooled_reused": float(sim.events_pooled_reused),
-            "ticks_overflowed": float(sim.events_ticks_overflowed),
-            "wheel_recalibrations": float(sim.events_wheel_recalibrations),
-            "holds_warped": float(sim.events_holds_warped),
+            name: float(getattr(self.sim, attribute))
+            for name, attribute in KERNEL_COUNTERS
         }
         return SimulationResults(
             phase=phase,
@@ -360,192 +371,85 @@ class VOODBSimulation:
     # ------------------------------------------------------------------
     # Counter snapshots
     # ------------------------------------------------------------------
-    def _snapshot(self) -> Dict[str, float]:
-        io, memory, network, locks, tm = (
-            self.io,
-            self.memory,
-            self.network,
-            self.locks,
-            self.tm,
-        )
-        arch = self.architecture
+    def _snapshot(self) -> tuple:
         report = self.clustering.report
-        snapshot = {
-            "time": self.sim.now,
-            "reads": io.reads,
-            "writes": io.writes,
-            "swap_reads": io.swap_reads,
-            "swap_writes": io.swap_writes,
-            "sequential": io.sequential_accesses,
-            "hits": memory.hits,
-            "misses": memory.misses,
-            "prefetched": arch.prefetched_pages,
-            "prefetch_hits": arch.prefetch_hits,
-            "net_messages": network.messages,
-            "net_bytes": network.bytes_sent,
-            "net_time": network.busy_ticks,
-            "lock_acq": locks.acquisitions,
-            "lock_waits": locks.waits,
-            "lock_wait_time": locks.wait_ticks,
-            "transactions": tm.transactions_executed,
-            "accesses": tm.objects_accessed,
-            "overhead_reads": report.overhead_reads,
-            "overhead_writes": report.overhead_writes,
-            "transient_faults": self.failures.transient_faults,
-            "crashes": self.failures.crashes,
-            "downtime": self.failures.downtime_ticks,
-        }
-        cluster = self.cluster
-        if cluster is not None:
-            snapshot["interconnect_messages"] = cluster.interconnect.messages
-            snapshot["interconnect_bytes"] = cluster.interconnect.bytes_sent
-            snapshot["remote_fetches"] = cluster.remote_fetches
-            snapshot["replica_reads"] = cluster.replica_reads
-            snapshot["replica_writes"] = cluster.replica_writes
-            snapshot["stale_reads"] = cluster.stale_reads
-            snapshot["replica_applies"] = cluster.replica_applies
-            snapshot["replica_lag"] = cluster.replica_lag_ticks
-            snapshot["read_failovers"] = cluster.read_failovers
-            snapshot["write_recovery_waits"] = cluster.write_recovery_waits
-            snapshot["cluster_reads"] = cluster.reads_served
-            if cluster.faults_on:
-                snapshot["partitions"] = cluster.partitions
-                snapshot["partition_ticks"] = cluster.partition_ticks
-                snapshot["gray_episodes"] = cluster.gray_episodes
-                snapshot["degraded_reads"] = cluster.degraded_reads
-                snapshot["remote_timeouts"] = cluster.remote_timeouts
-                snapshot["remote_retries"] = cluster.remote_retries
-                snapshot["abandoned_reads"] = cluster.abandoned_reads
-                snapshot["elections"] = cluster.elections
-                snapshot["promotions"] = cluster.promotions
-                snapshot["repair_pages"] = cluster.repair_pages
-                snapshot["read_repairs"] = cluster.read_repairs
-            for node in cluster.nodes:
-                index = node.index
-                snapshot[f"server{index}_ios"] = node.io.total_ios
-                snapshot[f"server{index}_accesses"] = node.accesses
-                snapshot[f"server{index}_busy"] = node.io.busy_ticks
-        return snapshot
+        nodes = self.cluster.nodes if self.cluster is not None else ()
+        return (
+            [read(self) for _name, read, _ticks in self._counters],
+            report.overhead_reads,
+            report.overhead_writes,
+            [
+                (node.io.total_ios, node.accesses, node.io.busy_ticks)
+                for node in nodes
+            ],
+        )
 
-    def _collect(self, snapshot: Dict[str, float]) -> PhaseResults:
+    def _collect(self, snapshot: tuple) -> PhaseResults:
         """Phase metrics as counter deltas.
 
         This is the tick→ms boundary: every duration counter in the
         snapshot is integer ticks, and the conversions below are the
         only place phase durations become float milliseconds.
         """
-        current = self._snapshot()
-
-        def delta(key: str) -> float:
-            return current[key] - snapshot[key]
-
+        before, overhead_reads, overhead_writes, servers_before = snapshot
+        after, overhead_reads_now, overhead_writes_now, servers_after = (
+            self._snapshot()
+        )
+        values: Dict[str, object] = {
+            name: (now - then) * MS_PER_TICK if ticks else int(now - then)
+            for (name, _read, ticks), then, now in zip(
+                self._counters, before, after
+            )
+        }
         # Reorganizations inside the phase billed I/Os on the shared
         # disk; pull them out of the usage figures.
-        overhead_reads = delta("overhead_reads")
-        overhead_writes = delta("overhead_writes")
+        values["reads"] -= overhead_reads_now - overhead_reads
+        values["writes"] -= overhead_writes_now - overhead_writes
         response = self.tm.phase_response
-        aggregation_fields: Dict[str, object] = {}
         calibration = self._phase_calibration
         if calibration is not None:
             self._phase_calibration = None
             users = self.users
-            aggregation_fields = {
-                "aggregation_population": calibration.population,
-                "aggregate_transactions": users.aggregate_completions,
-                "probe_transactions": len(users.probe_response_ticks),
-                "probe_response_times_ms": tuple(
-                    ticks * MS_PER_TICK
-                    for ticks in users.probe_response_ticks
+            values.update(
+                aggregation_population=calibration.population,
+                aggregate_transactions=users.aggregate_completions,
+                probe_transactions=len(users.probe_response_ticks),
+                probe_response_times_ms=tuple(
+                    ticks * MS_PER_TICK for ticks in users.probe_response_ticks
                 ),
-                "calibrated_rate_tps": calibration.rate_tps,
-                "calibration_iterations": calibration.iterations,
-                "calibration_converged": calibration.converged,
-                "calibration_trace": calibration.trace,
-            }
-        cluster_fields: Dict[str, object] = {}
-        if self.cluster is not None:
-            indices = [node.index for node in self.cluster.nodes]
-            cluster_fields = {
-                "server_ios": tuple(
-                    int(delta(f"server{i}_ios")) for i in indices
-                ),
-                "server_accesses": tuple(
-                    int(delta(f"server{i}_accesses")) for i in indices
-                ),
-                "server_busy_ms": tuple(
-                    delta(f"server{i}_busy") * MS_PER_TICK for i in indices
-                ),
-                "interconnect_messages": int(delta("interconnect_messages")),
-                "interconnect_bytes": int(delta("interconnect_bytes")),
-                "remote_fetches": int(delta("remote_fetches")),
-                "replica_reads": int(delta("replica_reads")),
-                "replica_writes": int(delta("replica_writes")),
-                "stale_reads": int(delta("stale_reads")),
-                "replica_applies": int(delta("replica_applies")),
-                "replica_lag_sum_ms": delta("replica_lag") * MS_PER_TICK,
-                "read_failovers": int(delta("read_failovers")),
-                "write_recovery_waits": int(delta("write_recovery_waits")),
-                "cluster_reads": int(delta("cluster_reads")),
-            }
-            if self.cluster.faults_on:
-                cluster_fields["fault_layer"] = True
-                cluster_fields["partitions"] = int(delta("partitions"))
-                cluster_fields["partition_ms"] = (
-                    delta("partition_ticks") * MS_PER_TICK
+                calibrated_rate_tps=calibration.rate_tps,
+                calibration_iterations=calibration.iterations,
+                calibration_converged=calibration.converged,
+                calibration_trace=calibration.trace,
+            )
+        cluster = self.cluster
+        if cluster is not None:
+            ios, accesses, busy = zip(
+                *(
+                    [now - then for then, now in zip(prior, current)]
+                    for prior, current in zip(servers_before, servers_after)
                 )
-                cluster_fields["gray_episodes"] = int(delta("gray_episodes"))
-                cluster_fields["degraded_reads"] = int(
-                    delta("degraded_reads")
-                )
-                cluster_fields["remote_timeouts"] = int(
-                    delta("remote_timeouts")
-                )
-                cluster_fields["remote_retries"] = int(
-                    delta("remote_retries")
-                )
-                cluster_fields["abandoned_reads"] = int(
-                    delta("abandoned_reads")
-                )
-                cluster_fields["elections"] = int(delta("elections"))
-                cluster_fields["promotions"] = int(delta("promotions"))
-                cluster_fields["repair_pages"] = int(delta("repair_pages"))
-                cluster_fields["read_repairs"] = int(delta("read_repairs"))
-            if self.cluster.async_mode:
+            )
+            values.update(
+                server_ios=ios,
+                server_accesses=accesses,
+                server_busy_ms=tuple(ticks * MS_PER_TICK for ticks in busy),
+                fault_layer=cluster.faults_on,
+            )
+            if cluster.async_mode:
                 # Run-to-date high-water marks (not phase deltas): the
                 # deepest each node's apply queue has ever been.
-                cluster_fields["apply_queue_peak"] = tuple(
-                    node.queue_peak for node in self.cluster.nodes
+                values["apply_queue_peak"] = tuple(
+                    node.queue_peak for node in cluster.nodes
                 )
         return PhaseResults(
-            transactions=int(delta("transactions")),
-            object_accesses=int(delta("accesses")),
-            reads=int(delta("reads") - overhead_reads),
-            writes=int(delta("writes") - overhead_writes),
-            swap_reads=int(delta("swap_reads")),
-            swap_writes=int(delta("swap_writes")),
-            buffer_hits=int(delta("hits")),
-            buffer_misses=int(delta("misses")),
-            prefetched_pages=int(delta("prefetched")),
-            prefetch_hits=int(delta("prefetch_hits")),
-            sequential_reads=int(delta("sequential")),
-            network_messages=int(delta("net_messages")),
-            network_bytes=int(delta("net_bytes")),
-            network_time_ms=delta("net_time") * MS_PER_TICK,
-            lock_acquisitions=int(delta("lock_acq")),
-            lock_waits=int(delta("lock_waits")),
-            lock_wait_time_ms=delta("lock_wait_time") * MS_PER_TICK,
             response_time_sum_ms=response.total * MS_PER_TICK,
             response_time_max_ms=max(response.maximum, 0) * MS_PER_TICK,
             response_times_ms=tuple(
                 ticks * MS_PER_TICK for ticks in self.tm.phase_response_series
             ),
-            elapsed_ms=delta("time") * MS_PER_TICK,
             transactions_by_kind=dict(self.tm.phase_kind_counts),
-            transient_faults=int(delta("transient_faults")),
-            crashes=int(delta("crashes")),
-            downtime_ms=delta("downtime") * MS_PER_TICK,
-            **aggregation_fields,
-            **cluster_fields,
+            **values,
         )
 
 

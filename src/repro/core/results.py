@@ -11,42 +11,120 @@ cover.
 replication; :class:`SimulationResults` extends it with clustering info
 for a complete replication.  Both flatten to ``dict`` for the
 :class:`~repro.despy.stats.ReplicationAnalyzer`.
+
+Every scalar phase statistic is declared once, on its ``PhaseResults``
+field (:func:`counter`) or property (:func:`derived`).  The model's
+phase snapshot/delta, :meth:`PhaseResults.to_metrics`, the report's
+fault block, the JSON report blocks and the scenario schema's metric
+names are all derived from these declarations (:data:`PHASE_STATS`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+import re
+from dataclasses import dataclass, field, fields
+from typing import Dict, Optional, Tuple
 
 from repro.despy.stats import MIN_STEADY_OBSERVATIONS, steady_state_estimate
+
+
+#: Enabling features.  Each names the :class:`PhaseResults` attribute
+#: that is truthy on a phase that ran the feature; a stat is exported by
+#: :meth:`PhaseResults.to_metrics` only when its feature is on.
+ALWAYS = ""
+#: a cluster topology served the phase (per-server figures exist)
+CLUSTER = "server_ios"
+#: the extended cluster path (async replication, per-node hazards or the
+#: fault layer) served page reads
+EXTENDED = "cluster_reads"
+#: the fault-tolerance layer was on
+FAULTS = "fault_layer"
+
+
+@dataclass(frozen=True)
+class Stat:
+    """Declaration of one phase statistic: a counter or a derived value.
+
+    Counters are :class:`PhaseResults` fields declared with
+    :func:`counter`; derived values are properties declared with
+    :func:`derived`.  Snapshot/delta collection, ``to_metrics``, the
+    report's fault block and the JSON blocks are all read off these
+    declarations (see :data:`PHASE_STATS`).
+    """
+
+    #: Enabling feature (one of ALWAYS / CLUSTER / EXTENDED / FAULTS).
+    feature: str = ALWAYS
+    #: Whether ``to_metrics`` exports it (under the attribute's name).
+    metric: bool = True
+    #: Counters only: dotted path of the source counter on the model
+    #: (e.g. ``"cluster.repair_pages"``), read at phase boundaries.
+    source: Optional[str] = None
+    #: Counters only: the source counts integer ticks, reported in ms.
+    ticks: bool = False
+    #: Report block listing it: ``"replication"`` (the async-replication
+    #: JSON block), ``"faults"`` / ``"recovery"`` (the two lines of the
+    #: fault-tolerance block).
+    report: Optional[str] = None
+    #: Label in the text report's block (default: the name, with
+    #: spaces for underscores).
+    label: Optional[str] = None
+
+
+def counter(
+    source: str,
+    feature: str = ALWAYS,
+    *,
+    ticks: bool = False,
+    metric: bool = True,
+    report: Optional[str] = None,
+    label: Optional[str] = None,
+):
+    """A :class:`PhaseResults` field holding the phase delta of ``source``.
+
+    The model's hot paths keep plain ``self.x += 1`` increments; the
+    model reads each source once per phase boundary and stores the
+    difference — an ``int``, or float milliseconds for a tick counter.
+    """
+    stat = Stat(feature, metric, source, ticks, report, label)
+    return field(default=0.0 if ticks else 0, metadata={"stat": stat})
+
+
+def derived(feature: str = ALWAYS, report: Optional[str] = None):
+    """A :class:`PhaseResults` property exported as a metric."""
+
+    def declare(method):
+        method.stat = Stat(feature, report=report)
+        return property(method)
+
+    return declare
 
 
 @dataclass
 class PhaseResults:
     """Metrics of one workload phase (a batch of transactions)."""
 
-    transactions: int = 0
-    object_accesses: int = 0
+    transactions: int = counter("tm.transactions_executed")
+    object_accesses: int = counter("tm.objects_accessed")
     #: Pages read from disk for transaction processing (usage reads).
-    reads: int = 0
+    reads: int = counter("io.reads")
     #: Pages written to disk for transaction processing (dirty evictions).
-    writes: int = 0
+    writes: int = counter("io.writes")
     #: Swap I/Os (virtual-memory model only; included in reads+writes? no:
     #: counted separately and *added* into total_ios).
-    swap_reads: int = 0
-    swap_writes: int = 0
-    buffer_hits: int = 0
-    buffer_misses: int = 0
-    prefetched_pages: int = 0
-    prefetch_hits: int = 0
-    sequential_reads: int = 0
-    network_messages: int = 0
-    network_bytes: int = 0
-    network_time_ms: float = 0.0
-    lock_acquisitions: int = 0
-    lock_waits: int = 0
-    lock_wait_time_ms: float = 0.0
+    swap_reads: int = counter("io.swap_reads", metric=False)
+    swap_writes: int = counter("io.swap_writes", metric=False)
+    buffer_hits: int = counter("memory.hits", metric=False)
+    buffer_misses: int = counter("memory.misses", metric=False)
+    prefetched_pages: int = counter("architecture.prefetched_pages", metric=False)
+    prefetch_hits: int = counter("architecture.prefetch_hits", metric=False)
+    sequential_reads: int = counter("io.sequential_accesses")
+    network_messages: int = counter("network.messages")
+    network_bytes: int = counter("network.bytes_sent")
+    network_time_ms: float = counter("network.busy_ticks", ticks=True)
+    lock_acquisitions: int = counter("locks.acquisitions", metric=False)
+    lock_waits: int = counter("locks.waits")
+    lock_wait_time_ms: float = counter("locks.wait_ticks", ticks=True, metric=False)
     response_time_sum_ms: float = 0.0
     response_time_max_ms: float = 0.0
     #: Per-transaction response times (ms) in completion order — the
@@ -55,12 +133,12 @@ class PhaseResults:
     #: MSER-5/batch-means summary derived from it goes in as the
     #: ``steady_*`` metrics.
     response_times_ms: Tuple[float, ...] = ()
-    elapsed_ms: float = 0.0
+    elapsed_ms: float = counter("sim.now", ticks=True)
     transactions_by_kind: Dict[str, int] = field(default_factory=dict)
     #: Hazards charged during the phase (§5 failures module).
-    transient_faults: int = 0
-    crashes: int = 0
-    downtime_ms: float = 0.0
+    transient_faults: int = counter("failures.transient_faults")
+    crashes: int = counter("failures.crashes")
+    downtime_ms: float = counter("failures.downtime_ticks", ticks=True)
     # -- Flow aggregation (0 population = plain closed/open phase) -------
     #: Simulated population the aggregated source tier stood in for.
     aggregation_population: int = 0
@@ -87,58 +165,72 @@ class PhaseResults:
     #: Disk busy time of each server node (ms).
     server_busy_ms: Tuple[float, ...] = ()
     #: Inter-server network traffic (replica propagation + forwarding).
-    interconnect_messages: int = 0
-    interconnect_bytes: int = 0
+    interconnect_messages: int = counter("cluster.interconnect.messages", CLUSTER)
+    interconnect_bytes: int = counter("cluster.interconnect.bytes_sent", CLUSTER)
     #: Pages a home node fetched from a remote owner (object server).
-    remote_fetches: int = 0
+    remote_fetches: int = counter("cluster.remote_fetches", CLUSTER)
     #: Reads served by a non-primary replica (round-robin balancing).
-    replica_reads: int = 0
+    replica_reads: int = counter("cluster.replica_reads", CLUSTER)
     #: Page images propagated to non-primary replicas on writes.
-    replica_writes: int = 0
+    replica_writes: int = counter("cluster.replica_writes", CLUSTER)
     # -- Consistency spectrum (async replication + failover) --------------
     #: Reads that served a page version older than the last acknowledged
     #: write of that page (async replication lag made visible).
-    stale_reads: int = 0
+    stale_reads: int = counter("cluster.stale_reads", CLUSTER, report="replication")
     #: Shipped page images the per-node appliers installed.
-    replica_applies: int = 0
+    replica_applies: int = counter(
+        "cluster.replica_applies", CLUSTER, report="replication"
+    )
     #: Total enqueue-to-apply latency over all applies (ms).
-    replica_lag_sum_ms: float = 0.0
+    replica_lag_sum_ms: float = counter(
+        "cluster.replica_lag_ticks", CLUSTER, ticks=True, metric=False
+    )
     #: Reads rerouted away from a crashed replica.
-    read_failovers: int = 0
+    read_failovers: int = counter("cluster.read_failovers", CLUSTER)
     #: Writes that queued behind a crashed primary's recovery.
-    write_recovery_waits: int = 0
+    write_recovery_waits: int = counter("cluster.write_recovery_waits", CLUSTER)
     #: Peak apply-queue depth per server node (async mode only).
     apply_queue_peak: Tuple[int, ...] = ()
     # -- Fault-tolerance layer (FaultConfig / RetryConfig) -----------------
     #: Page reads the extended cluster path served (stale-rate base).
-    cluster_reads: int = 0
+    cluster_reads: int = counter("cluster.reads_served", EXTENDED)
     #: Whether the fault layer was active this phase (gates metrics).
     fault_layer: bool = False
     #: Interconnect partitions drawn this phase.
-    partitions: int = 0
+    partitions: int = counter("cluster.partitions", FAULTS, report="faults")
     #: Total simulated time some partition was active (ms).
-    partition_ms: float = 0.0
+    partition_ms: float = counter(
+        "cluster.partition_ticks", FAULTS, ticks=True, report="faults"
+    )
     #: Gray (degraded-mode) episodes drawn across the nodes.
-    gray_episodes: int = 0
+    gray_episodes: int = counter("cluster.gray_episodes", FAULTS, report="faults")
     #: Reads served by a node while it was gray.
-    degraded_reads: int = 0
+    degraded_reads: int = counter("cluster.degraded_reads", FAULTS, report="faults")
     #: Remote-operation attempts that hit the timeout.
-    remote_timeouts: int = 0
+    remote_timeouts: int = counter(
+        "cluster.remote_timeouts", FAULTS, report="recovery", label="timeouts"
+    )
     #: Backoff-and-retry rounds taken after a timeout.
-    remote_retries: int = 0
+    remote_retries: int = counter(
+        "cluster.remote_retries", FAULTS, report="recovery", label="retries"
+    )
     #: Peers abandoned after exhausting the retry budget.
-    abandoned_reads: int = 0
+    abandoned_reads: int = counter(
+        "cluster.abandoned_reads", FAULTS, report="recovery", label="abandoned"
+    )
     #: Primary elections held (crashed or partitioned-away leaders).
-    elections: int = 0
+    elections: int = counter("cluster.elections", FAULTS, report="recovery")
     #: Elections that promoted a different replica to primary.
-    promotions: int = 0
+    promotions: int = counter("cluster.promotions", FAULTS, report="recovery")
     #: Stale page copies anti-entropy back-filled.
-    repair_pages: int = 0
+    repair_pages: int = counter(
+        "cluster.repair_pages", FAULTS, report="recovery", label="repaired pages"
+    )
     #: Divergent replicas quorum reads repaired in place.
-    read_repairs: int = 0
+    read_repairs: int = counter("cluster.read_repairs", FAULTS, report="recovery")
 
     # ------------------------------------------------------------------
-    @property
+    @derived()
     def total_ios(self) -> int:
         """Usage I/Os of the phase: reads + writes + swap traffic.
 
@@ -147,18 +239,23 @@ class PhaseResults:
         """
         return self.reads + self.writes + self.swap_reads + self.swap_writes
 
-    @property
+    @derived()
+    def swap_ios(self) -> int:
+        """Swap traffic of the virtual-memory model."""
+        return self.swap_reads + self.swap_writes
+
+    @derived()
     def hit_rate(self) -> float:
         total = self.buffer_hits + self.buffer_misses
         return self.buffer_hits / total if total else 0.0
 
-    @property
+    @derived()
     def mean_response_time_ms(self) -> float:
         if self.transactions == 0:
             return 0.0
         return self.response_time_sum_ms / self.transactions
 
-    @property
+    @derived()
     def throughput_tps(self) -> float:
         """Transactions per (simulated) second."""
         if self.elapsed_ms <= 0:
@@ -168,7 +265,12 @@ class PhaseResults:
     # ------------------------------------------------------------------
     # Cluster roll-ups
     # ------------------------------------------------------------------
-    @property
+    @derived(CLUSTER)
+    def cluster_servers(self) -> int:
+        """Server nodes of the cluster topology."""
+        return len(self.server_ios)
+
+    @derived(CLUSTER)
     def cluster_imbalance(self) -> float:
         """Max-over-mean per-server I/Os (1.0 = perfectly balanced)."""
         if not self.server_ios:
@@ -178,7 +280,7 @@ class PhaseResults:
             return 1.0
         return max(self.server_ios) / mean
 
-    @property
+    @derived(CLUSTER)
     def cluster_max_utilization(self) -> float:
         """Busiest server's disk utilization over the phase."""
         if not self.server_busy_ms or self.elapsed_ms <= 0:
@@ -191,14 +293,14 @@ class PhaseResults:
             return 0.0
         return self.server_busy_ms[index] / self.elapsed_ms
 
-    @property
+    @derived(CLUSTER, report="replication")
     def replica_lag_ms(self) -> float:
         """Mean enqueue-to-apply latency of shipped page images (ms)."""
         if self.replica_applies <= 0:
             return 0.0
         return self.replica_lag_sum_ms / self.replica_applies
 
-    @property
+    @derived(EXTENDED, report="replication")
     def stale_reads_per_1000_reads(self) -> float:
         """Stale-read *rate*: stale reads per 1000 served page reads.
 
@@ -270,115 +372,101 @@ class PhaseResults:
     def to_metrics(self, prefix: str = "") -> Dict[str, float]:
         """Flatten to a metric dict for the ReplicationAnalyzer."""
         metrics = {
-            f"{prefix}transactions": float(self.transactions),
-            f"{prefix}object_accesses": float(self.object_accesses),
-            f"{prefix}total_ios": float(self.total_ios),
-            f"{prefix}reads": float(self.reads),
-            f"{prefix}writes": float(self.writes),
-            f"{prefix}swap_ios": float(self.swap_reads + self.swap_writes),
-            f"{prefix}hit_rate": self.hit_rate,
-            f"{prefix}sequential_reads": float(self.sequential_reads),
-            f"{prefix}network_messages": float(self.network_messages),
-            f"{prefix}network_bytes": float(self.network_bytes),
-            f"{prefix}network_time_ms": self.network_time_ms,
-            f"{prefix}lock_waits": float(self.lock_waits),
-            f"{prefix}mean_response_time_ms": self.mean_response_time_ms,
-            f"{prefix}throughput_tps": self.throughput_tps,
-            f"{prefix}elapsed_ms": self.elapsed_ms,
-            f"{prefix}transient_faults": float(self.transient_faults),
-            f"{prefix}crashes": float(self.crashes),
-            f"{prefix}downtime_ms": self.downtime_ms,
+            f"{prefix}{name}": float(getattr(self, name))
+            for name, stat in PHASE_STATS
+            if stat.metric and (not stat.feature or getattr(self, stat.feature))
         }
         if self.aggregated:
-            metrics[f"{prefix}aggregation_population"] = float(
-                self.aggregation_population
-            )
-            metrics[f"{prefix}aggregate_transactions"] = float(
-                self.aggregate_transactions
-            )
-            metrics[f"{prefix}probe_transactions"] = float(
-                self.probe_transactions
-            )
-            metrics[f"{prefix}calibrated_rate_tps"] = self.calibrated_rate_tps
-            metrics[f"{prefix}calibration_iterations"] = float(
-                self.calibration_iterations
-            )
-            metrics[f"{prefix}calibration_converged"] = float(
-                self.calibration_converged
-            )
+            for name in AGGREGATION_METRICS:
+                metrics[f"{prefix}{name}"] = float(getattr(self, name))
             if self.probe_response_times_ms:
-                metrics[f"{prefix}probe_mean_response_time_ms"] = (
-                    self.probe_mean_response_time_ms
+                probe = (
+                    self.probe_mean_response_time_ms,
+                    self.probe_response_percentile(0.95),
                 )
-                metrics[f"{prefix}probe_p95_response_time_ms"] = (
-                    self.probe_response_percentile(0.95)
-                )
+                for name, value in zip(PROBE_METRICS, probe):
+                    metrics[f"{prefix}{name}"] = value
         if self.has_steady_state:
             steady = self.steady_state()
-            metrics[f"{prefix}steady_response_time_ms"] = steady.point
-            metrics[f"{prefix}steady_response_ci_ms"] = steady.half_width
-            metrics[f"{prefix}steady_truncated"] = float(steady.truncated)
-            metrics[f"{prefix}steady_batches"] = float(steady.batches)
-        if self.server_ios:
-            metrics[f"{prefix}cluster_servers"] = float(len(self.server_ios))
-            metrics[f"{prefix}cluster_imbalance"] = self.cluster_imbalance
-            metrics[f"{prefix}cluster_max_utilization"] = (
-                self.cluster_max_utilization
+            estimate = (
+                steady.point,
+                steady.half_width,
+                float(steady.truncated),
+                float(steady.batches),
             )
-            metrics[f"{prefix}interconnect_messages"] = float(
-                self.interconnect_messages
-            )
-            metrics[f"{prefix}interconnect_bytes"] = float(
-                self.interconnect_bytes
-            )
-            metrics[f"{prefix}remote_fetches"] = float(self.remote_fetches)
-            metrics[f"{prefix}replica_reads"] = float(self.replica_reads)
-            metrics[f"{prefix}replica_writes"] = float(self.replica_writes)
-            metrics[f"{prefix}stale_reads"] = float(self.stale_reads)
-            metrics[f"{prefix}replica_applies"] = float(self.replica_applies)
-            metrics[f"{prefix}replica_lag_ms"] = self.replica_lag_ms
-            metrics[f"{prefix}read_failovers"] = float(self.read_failovers)
-            metrics[f"{prefix}write_recovery_waits"] = float(
-                self.write_recovery_waits
-            )
-            if self.cluster_reads:
-                metrics[f"{prefix}cluster_reads"] = float(self.cluster_reads)
-                metrics[f"{prefix}stale_reads_per_1000_reads"] = (
-                    self.stale_reads_per_1000_reads
-                )
-            if self.fault_layer:
-                metrics[f"{prefix}partitions"] = float(self.partitions)
-                metrics[f"{prefix}partition_ms"] = self.partition_ms
-                metrics[f"{prefix}gray_episodes"] = float(self.gray_episodes)
-                metrics[f"{prefix}degraded_reads"] = float(
-                    self.degraded_reads
-                )
-                metrics[f"{prefix}remote_timeouts"] = float(
-                    self.remote_timeouts
-                )
-                metrics[f"{prefix}remote_retries"] = float(
-                    self.remote_retries
-                )
-                metrics[f"{prefix}abandoned_reads"] = float(
-                    self.abandoned_reads
-                )
-                metrics[f"{prefix}elections"] = float(self.elections)
-                metrics[f"{prefix}promotions"] = float(self.promotions)
-                metrics[f"{prefix}repair_pages"] = float(self.repair_pages)
-                metrics[f"{prefix}read_repairs"] = float(self.read_repairs)
-            for index, peak in enumerate(self.apply_queue_peak):
-                metrics[f"{prefix}server{index}_apply_queue_peak"] = float(
-                    peak
-                )
-            for index, ios in enumerate(self.server_ios):
-                metrics[f"{prefix}server{index}_total_ios"] = float(ios)
-                metrics[f"{prefix}server{index}_accesses"] = float(
-                    self.server_accesses[index]
-                )
-                metrics[f"{prefix}server{index}_utilization"] = (
-                    self.server_utilization(index)
-                )
+            for name, value in zip(STEADY_METRICS, estimate):
+                metrics[f"{prefix}{name}"] = value
+        servers = range(len(self.server_ios))
+        per_server = (
+            self.server_ios,
+            self.server_accesses,
+            [self.server_utilization(index) for index in servers],
+            self.apply_queue_peak,
+        )
+        for name, values in zip(PER_SERVER_METRICS, per_server):
+            for index, value in enumerate(values):
+                metrics[f"{prefix}server{index}_{name}"] = float(value)
         return metrics
+
+
+#: Every declared phase statistic as ``(attribute, Stat)``: the counter
+#: fields in field order, then the derived properties.
+PHASE_STATS: Tuple[Tuple[str, Stat], ...] = tuple(
+    (f.name, f.metadata["stat"])
+    for f in fields(PhaseResults)
+    if "stat" in f.metadata
+) + tuple(
+    (name, value.fget.stat)
+    for name, value in vars(PhaseResults).items()
+    if isinstance(value, property) and hasattr(value.fget, "stat")
+)
+
+#: The counters alone: ``(field, Stat)`` with a ``source``.
+COUNTERS: Tuple[Tuple[str, Stat], ...] = tuple(
+    (name, stat) for name, stat in PHASE_STATS if stat.source
+)
+
+#: Fields the aggregated source tier exports, and the probe cohort's
+#: latency metrics (mean, p95) when the cohort completed transactions.
+AGGREGATION_METRICS: Tuple[str, ...] = (
+    "aggregation_population",
+    "calibrated_rate_tps",
+    "calibration_iterations",
+    "calibration_converged",
+    "aggregate_transactions",
+    "probe_transactions",
+)
+PROBE_METRICS: Tuple[str, ...] = (
+    "probe_mean_response_time_ms",
+    "probe_p95_response_time_ms",
+)
+
+#: Metrics of the MSER-5/batch-means steady-state estimate: point,
+#: batch-means CI half-width, truncated observations, batches.
+STEADY_METRICS: Tuple[str, ...] = (
+    "steady_response_time_ms",
+    "steady_response_ci_ms",
+    "steady_truncated",
+    "steady_batches",
+)
+
+#: Per-server metrics, exported as ``server<i>_<name>``: usage I/Os,
+#: service operations, disk utilization, peak apply-queue depth.
+PER_SERVER_METRICS: Tuple[str, ...] = (
+    "total_ios",
+    "accesses",
+    "utilization",
+    "apply_queue_peak",
+)
+
+
+def report_metrics(block: str) -> Tuple[Tuple[str, Optional[str]], ...]:
+    """``(metric, label)`` of the stats a report block lists, in order."""
+    return tuple(
+        (name, stat.label or name.replace("_", " "))
+        for name, stat in PHASE_STATS
+        if stat.report == block
+    )
 
 
 @dataclass
@@ -452,3 +540,35 @@ class SimulationResults:
         for name, value in self.kernel.items():
             metrics[f"kernel_{name}"] = float(value)
         return metrics
+
+
+#: Kernel perf counters a replication records, as ``(name, attribute of
+#: the despy Simulation)``; flattened as ``kernel_<name>`` metrics.
+KERNEL_COUNTERS: Tuple[Tuple[str, str], ...] = (
+    ("events_wheel_pushed", "events_wheel_pushed"),
+    ("events_pooled_reused", "events_pooled_reused"),
+    ("ticks_overflowed", "events_ticks_overflowed"),
+    ("wheel_recalibrations", "events_wheel_recalibrations"),
+    ("holds_warped", "events_holds_warped"),
+)
+
+#: Every metric name a replication can report (per-server metrics with
+#: index 0 standing for any ``server<i>_``), for name checks and hints.
+METRIC_NAMES: Tuple[str, ...] = (
+    tuple(name for name, stat in PHASE_STATS if stat.metric)
+    + AGGREGATION_METRICS
+    + PROBE_METRICS
+    + STEADY_METRICS
+    + tuple(f"server0_{name}" for name in PER_SERVER_METRICS)
+    + tuple(ClusteringReport().to_metrics())
+    + tuple(f"kernel_{name}" for name, _attribute in KERNEL_COUNTERS)
+)
+
+_SERVER_METRIC = re.compile(
+    r"server\d+_(%s)" % "|".join(PER_SERVER_METRICS)
+)
+
+
+def is_metric_name(name: str) -> bool:
+    """Whether a replication can report a metric called ``name``."""
+    return name in METRIC_NAMES or _SERVER_METRIC.fullmatch(name) is not None

@@ -17,21 +17,15 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence
 
+from repro.core.results import (
+    AGGREGATION_METRICS,
+    KERNEL_COUNTERS,
+    STEADY_METRICS,
+    report_metrics,
+)
 from repro.experiments.figures import ExperimentSeries
 from repro.experiments.specs import SweepResult
 from repro.experiments.tables import TABLE_7_REFERENCE, DSTCExperimentResult
-
-
-#: Kernel perf counters surfaced in the ``scenario run --json`` payload
-#: (recorded per replication by ``VOODBSimulation.run``; see
-#: :mod:`repro.despy.events` for what each one measures).
-_KERNEL_COUNTERS = (
-    "events_wheel_pushed",
-    "events_pooled_reused",
-    "ticks_overflowed",
-    "wheel_recalibrations",
-    "holds_warped",
-)
 
 
 def _format_row(columns: List[str], widths: List[int]) -> str:
@@ -213,25 +207,6 @@ def _faults_per_point(scenario) -> List[bool]:
     ]
 
 
-#: The fault-layer counters the degradation block reports, in order:
-#: ``(metric, label)`` pairs grouped into the two report lines.
-_FAULT_LINE_ONE = (
-    ("partitions", "partitions"),
-    ("partition_ms", "partition ms"),
-    ("gray_episodes", "gray episodes"),
-    ("degraded_reads", "degraded reads"),
-)
-_FAULT_LINE_TWO = (
-    ("remote_timeouts", "timeouts"),
-    ("remote_retries", "retries"),
-    ("abandoned_reads", "abandoned"),
-    ("elections", "elections"),
-    ("promotions", "promotions"),
-    ("repair_pages", "repaired pages"),
-    ("read_repairs", "read repairs"),
-)
-
-
 def format_faults(scenario, result: SweepResult) -> List[str]:
     """The degradation block of a fault-tolerance report.
 
@@ -244,6 +219,7 @@ def format_faults(scenario, result: SweepResult) -> List[str]:
     faults_per_point = _faults_per_point(scenario)
     if not any(faults_per_point):
         return []
+    pressure, recovery = report_metrics("faults"), report_metrics("recovery")
     lines = ["", "fault tolerance (partitions, gray nodes, recovery):"]
     for (x, _config), active, analyzer in zip(
         scenario.points, faults_per_point, result.analyzers
@@ -251,31 +227,16 @@ def format_faults(scenario, result: SweepResult) -> List[str]:
         if not active:
             continue
         metrics = set(analyzer.metrics())
-        if "partitions" not in metrics:
+        if not all(metric in metrics for metric, _label in pressure + recovery):
             lines.append(f"  {x}: n/a (no fault metrics)")
             continue
-        for pairs, indent in ((_FAULT_LINE_ONE, f"  {x}: "), (
-            _FAULT_LINE_TWO,
-            "     ",
-        )):
+        for stats, indent in ((pressure, f"  {x}: "), (recovery, "     ")):
             cells = [
                 f"{label} {_metric_value(analyzer.mean(metric))}"
-                for metric, label in pairs
+                for metric, label in stats
             ]
             lines.append(indent + ", ".join(cells))
     return lines
-
-
-#: Metric names the aggregated source tier flattens per replication
-#: (see :meth:`repro.core.results.PhaseResults.to_metrics`).
-_AGGREGATION_METRICS = (
-    "aggregation_population",
-    "calibrated_rate_tps",
-    "calibration_iterations",
-    "calibration_converged",
-    "aggregate_transactions",
-    "probe_transactions",
-)
 
 
 def _scenario_is_aggregated(scenario) -> bool:
@@ -285,7 +246,7 @@ def _scenario_is_aggregated(scenario) -> bool:
 
 def _has_aggregation_metrics(analyzer) -> bool:
     metrics = set(analyzer.metrics())
-    return all(name in metrics for name in _AGGREGATION_METRICS)
+    return all(name in metrics for name in AGGREGATION_METRICS)
 
 
 def format_aggregation(scenario, result: SweepResult) -> List[str]:
@@ -333,16 +294,6 @@ def format_aggregation(scenario, result: SweepResult) -> List[str]:
     return lines
 
 
-#: Metric names the steady-state pipeline flattens per replication
-#: (see :meth:`repro.core.results.PhaseResults.to_metrics`).
-_STEADY_METRICS = (
-    "steady_response_time_ms",
-    "steady_response_ci_ms",
-    "steady_truncated",
-    "steady_batches",
-)
-
-
 def _scenario_is_open(scenario) -> bool:
     """Whether the scenario drives an open (source-driven) system."""
     return scenario.arrival_mode != "closed"
@@ -350,7 +301,7 @@ def _scenario_is_open(scenario) -> bool:
 
 def _has_steady_metrics(analyzer) -> bool:
     metrics = set(analyzer.metrics())
-    return all(name in metrics for name in _STEADY_METRICS)
+    return all(name in metrics for name in STEADY_METRICS)
 
 
 def format_steady_state(scenario, result: SweepResult) -> List[str]:
@@ -443,7 +394,7 @@ def scenario_to_json(scenario, result: SweepResult) -> Dict[str, Any]:
         "metrics": metrics,
     }
     kernel: Dict[str, Any] = {}
-    for counter in _KERNEL_COUNTERS:
+    for counter, _attribute in KERNEL_COUNTERS:
         metric = f"kernel_{counter}"
         if all(metric in analyzer.metrics() for analyzer in result.analyzers):
             kernel[counter] = {
@@ -550,44 +501,36 @@ def scenario_to_json(scenario, result: SweepResult) -> Dict[str, Any]:
                 config.replication.write_quorum
                 for _x, config in scenario.points
             ],
-            "replica_lag_ms": [],
-            "replica_applies": [],
-            "stale_reads": [],
-            "stale_reads_per_1000_reads": [],
         }
-        for is_async, analyzer in zip(async_per_point, result.analyzers):
-            present = set(analyzer.metrics())
-            for key, metric in (
-                ("replica_lag_ms", "replica_lag_ms"),
-                ("replica_applies", "replica_applies"),
-                ("stale_reads", "stale_reads"),
-                (
-                    "stale_reads_per_1000_reads",
-                    "stale_reads_per_1000_reads",
-                ),
-            ):
-                replication[key].append(
-                    analyzer.mean(metric)
-                    if is_async and metric in present
-                    else None
-                )
+        replication.update(
+            _point_means(
+                result, async_per_point, report_metrics("replication")
+            )
+        )
         payload["replication"] = replication
     faults_per_point = _faults_per_point(scenario)
     if any(faults_per_point):
-        fault_metrics = [metric for metric, _label in _FAULT_LINE_ONE] + [
-            metric for metric, _label in _FAULT_LINE_TWO
-        ]
-        faults: Dict[str, Any] = {metric: [] for metric in fault_metrics}
-        for active, analyzer in zip(faults_per_point, result.analyzers):
-            present = set(analyzer.metrics())
-            for metric in fault_metrics:
-                faults[metric].append(
-                    analyzer.mean(metric)
-                    if active and metric in present
-                    else None
-                )
-        payload["faults"] = faults
+        payload["faults"] = _point_means(
+            result,
+            faults_per_point,
+            report_metrics("faults") + report_metrics("recovery"),
+        )
     return payload
+
+
+def _point_means(
+    result: SweepResult, active_per_point: List[bool], stats
+) -> Dict[str, List[Any]]:
+    """Per-point means of a report block's metrics (``None`` where the
+    point does not run the block's feature or lacks the metric)."""
+    block: Dict[str, List[Any]] = {metric: [] for metric, _label in stats}
+    for active, analyzer in zip(active_per_point, result.analyzers):
+        present = set(analyzer.metrics())
+        for metric, values in block.items():
+            values.append(
+                analyzer.mean(metric) if active and metric in present else None
+            )
+    return block
 
 
 def format_scenario_list(scenarios: Sequence[Any]) -> str:

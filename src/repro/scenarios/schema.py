@@ -13,6 +13,10 @@ Validation is **eager and named**: an unknown key anywhere (top level,
 raises :class:`ScenarioSchemaError`
 carrying the full
 key path and the closest valid spelling, before any simulation runs.
+So does a value that does not fit its field's declared scalar type
+(``nusers: 1.5``, ``nusers: true``) and a ``metrics`` entry no
+replication reports (checked against the declarations in
+:mod:`repro.core.results`).
 The semantic checks themselves live in the config dataclasses — the
 schema builds real :class:`~repro.core.parameters.VOODBConfig` objects,
 so a scenario file can express exactly what the Python API can, no more.
@@ -41,10 +45,11 @@ readability, the canonical form spells the resolved fields out.
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple, get_type_hints
 
 from repro.core.overrides import checked_replace, suggest_key
 from repro.core.parameters import VOODBConfig
+from repro.core.results import METRIC_NAMES, is_metric_name
 from repro.scenarios.catalog import DEFAULT_METRICS, Scenario
 
 #: The format tag every scenario file must carry (schema version v1).
@@ -177,12 +182,49 @@ def _coerce_value(value: Any) -> Any:
     return value
 
 
+def _scalar_types(config_class: type) -> Dict[str, type]:
+    """Declared ``int``/``float``/``bool``/``str`` fields of a config."""
+    hints = get_type_hints(config_class)
+    return {
+        f.name: hints[f.name]
+        for f in fields(config_class)
+        if hints[f.name] in (int, float, bool, str)
+    }
+
+
+def _check_types(
+    config: Any, changes: Mapping[str, Any], where: str, source: str
+) -> None:
+    """Reject values that do not fit the field's declared scalar type.
+
+    A ``bool`` is not an ``int`` (YAML ``true`` for ``nusers``), an
+    ``int`` is accepted for a ``float`` field, and a float — NaN
+    included — never passes for an ``int`` field.
+    """
+    types = _scalar_types(type(config))
+    for key, value in changes.items():
+        kind = types.get(key)
+        if kind is None:
+            continue
+        if kind is float:
+            fits = isinstance(value, (int, float))
+        else:
+            fits = isinstance(value, kind)
+        if not fits or (kind is not bool and isinstance(value, bool)):
+            raise ScenarioSchemaError(
+                source,
+                f"{where}.{key} must be {kind.__name__}, "
+                f"got {type(value).__name__} {value!r}",
+            )
+
+
 def _apply_section(
     section: Any, data: Any, where: str, source: str
 ) -> Any:
     """Field-by-field overrides onto one nested config dataclass."""
     mapping = _require_mapping(data, where, source)
     changes = {key: _coerce_value(value) for key, value in mapping.items()}
+    _check_types(section, changes, where, source)
     try:
         return checked_replace(section, changes, label=where)
     except ScenarioSchemaError:
@@ -223,6 +265,7 @@ def apply_config_overrides(
             )
         else:
             changes[key] = _coerce_value(value)
+    _check_types(config, changes, where, source)
     try:
         return checked_replace(config, changes, label=where)
     except ScenarioSchemaError:
@@ -271,6 +314,14 @@ def scenario_from_dict(
         isinstance(m, str) for m in metrics
     ):
         raise ScenarioSchemaError(source, "metrics must be a list of strings")
+    for metric in metrics:
+        if not is_metric_name(metric):
+            hint = suggest_key(metric, METRIC_NAMES)
+            did_you_mean = f" (did you mean {hint!r}?)" if hint else ""
+            raise ScenarioSchemaError(
+                source,
+                f"unknown metric {metric!r} in metrics{did_you_mean}",
+            )
     config_block = data.get("config", {})
     base = _base_preset(
         _require_mapping(config_block, "config", source), "config", source

@@ -16,6 +16,7 @@ from repro.core import (
 )
 from repro.core.model import VOODBSimulation
 from repro.systems.o2 import o2_config
+from tests.core.nowait import as_process
 
 
 def cluster_config(**changes) -> VOODBConfig:
@@ -297,7 +298,9 @@ class TestNowaitFastPath:
         for _round in range(2):
             for oid in (0, 1, 2):
                 model.sim.process(
-                    model.architecture.access_object(oid, False)
+                    as_process(
+                        model.architecture.access_object_nowait, oid, False
+                    )
                 )
         model.sim.run()
         return model

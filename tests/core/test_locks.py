@@ -4,6 +4,7 @@ import pytest
 
 from repro.despy import Hold, Simulation, ms_to_ticks
 from repro.core import LockManager, VOODBConfig
+from tests.core.nowait import as_process
 
 
 def make_locks(multilvl=10, getlock=0.5, rellock=0.5):
@@ -38,8 +39,8 @@ class TestLockTimes:
         sim, locks = make_locks(getlock=0.5, rellock=0.0)
 
         def txn():
-            yield from locks.acquire_all(0, [1, 2, 3], set())
-            yield from locks.release_all(0, [1, 2, 3])
+            yield from as_process(locks.acquire_all_nowait, 0, [1, 2, 3], set())
+            yield from as_process(locks.release_all_nowait, 0, [1, 2, 3])
 
         sim.process(txn())
         sim.run()
@@ -50,8 +51,8 @@ class TestLockTimes:
         sim, locks = make_locks(getlock=0.0, rellock=0.5)
 
         def txn():
-            yield from locks.acquire_all(0, [1, 2], set())
-            yield from locks.release_all(0, [1, 2])
+            yield from as_process(locks.acquire_all_nowait, 0, [1, 2], set())
+            yield from as_process(locks.release_all_nowait, 0, [1, 2])
 
         sim.process(txn())
         sim.run()
@@ -61,8 +62,8 @@ class TestLockTimes:
         sim, locks = make_locks(getlock=0.0, rellock=0.0)
 
         def txn():
-            yield from locks.acquire_all(0, [1, 2], set())
-            yield from locks.release_all(0, [1, 2])
+            yield from as_process(locks.acquire_all_nowait, 0, [1, 2], set())
+            yield from as_process(locks.release_all_nowait, 0, [1, 2])
 
         sim.process(txn())
         sim.run()
@@ -75,10 +76,10 @@ class TestSharing:
         progress = []
 
         def reader(tag):
-            yield from locks.acquire_all(tag, [42], set())
+            yield from as_process(locks.acquire_all_nowait, tag, [42], set())
             progress.append((tag, sim.now_ms))
             yield Hold(ms_to_ticks(3.0))
-            yield from locks.release_all(tag, [42])
+            yield from as_process(locks.release_all_nowait, tag, [42])
 
         sim.process(reader(0))
         sim.process(reader(1))
@@ -92,15 +93,15 @@ class TestSharing:
         progress = []
 
         def writer():
-            yield from locks.acquire_all(0, [42], {42})
+            yield from as_process(locks.acquire_all_nowait, 0, [42], {42})
             yield Hold(ms_to_ticks(4.0))
-            yield from locks.release_all(0, [42])
+            yield from as_process(locks.release_all_nowait, 0, [42])
 
         def reader():
             yield Hold(ms_to_ticks(1.0))
-            yield from locks.acquire_all(1, [42], set())
+            yield from as_process(locks.acquire_all_nowait, 1, [42], set())
             progress.append(sim.now_ms)
-            yield from locks.release_all(1, [42])
+            yield from as_process(locks.release_all_nowait, 1, [42])
 
         sim.process(writer())
         sim.process(reader())
@@ -114,15 +115,15 @@ class TestSharing:
         progress = []
 
         def reader():
-            yield from locks.acquire_all(0, [7], set())
+            yield from as_process(locks.acquire_all_nowait, 0, [7], set())
             yield Hold(ms_to_ticks(2.0))
-            yield from locks.release_all(0, [7])
+            yield from as_process(locks.release_all_nowait, 0, [7])
 
         def writer():
             yield Hold(ms_to_ticks(0.5))
-            yield from locks.acquire_all(1, [7], {7})
+            yield from as_process(locks.acquire_all_nowait, 1, [7], {7})
             progress.append(sim.now_ms)
-            yield from locks.release_all(1, [7])
+            yield from as_process(locks.release_all_nowait, 1, [7])
 
         sim.process(reader())
         sim.process(writer())
@@ -134,10 +135,10 @@ class TestSharing:
         progress = []
 
         def txn(tag, oid):
-            yield from locks.acquire_all(tag, [oid], {oid})
+            yield from as_process(locks.acquire_all_nowait, tag, [oid], {oid})
             progress.append((tag, sim.now_ms))
             yield Hold(ms_to_ticks(2.0))
-            yield from locks.release_all(tag, [oid])
+            yield from as_process(locks.release_all_nowait, tag, [oid])
 
         sim.process(txn(0, 1))
         sim.process(txn(1, 2))
@@ -149,10 +150,10 @@ class TestSharing:
         done = []
 
         def txn():
-            yield from locks.acquire_all(0, [5], set())
-            yield from locks.acquire_all(0, [5], set())  # idempotent
+            yield from as_process(locks.acquire_all_nowait, 0, [5], set())
+            yield from as_process(locks.acquire_all_nowait, 0, [5], set())  # idempotent
             done.append(sim.now_ms)
-            yield from locks.release_all(0, [5])
+            yield from as_process(locks.release_all_nowait, 0, [5])
 
         sim.process(txn())
         sim.run()
@@ -162,8 +163,8 @@ class TestSharing:
         sim, locks = make_locks(getlock=0.0, rellock=0.0)
 
         def txn():
-            yield from locks.acquire_all(0, [1, 2, 3], {2})
-            yield from locks.release_all(0, [1, 2, 3])
+            yield from as_process(locks.acquire_all_nowait, 0, [1, 2, 3], {2})
+            yield from as_process(locks.release_all_nowait, 0, [1, 2, 3])
 
         sim.process(txn())
         sim.run()
@@ -177,9 +178,9 @@ class TestContention:
 
         def writer(tag):
             yield from locks.admit()
-            yield from locks.acquire_all(tag, [99], {99})
+            yield from as_process(locks.acquire_all_nowait, tag, [99], {99})
             yield Hold(ms_to_ticks(1.0))
-            yield from locks.release_all(tag, [99])
+            yield from as_process(locks.release_all_nowait, tag, [99])
             yield from locks.leave()
             finished.append(sim.now_ms)
 

@@ -71,6 +71,34 @@ class TestTopLevel:
         with pytest.raises(ScenarioSchemaError, match="kebab-case"):
             scenario_from_dict(minimal(name="Bad Name"))
 
+    def test_unknown_metric_rejected_at_load_with_suggestion(self):
+        with pytest.raises(
+            ScenarioSchemaError,
+            match=r"unknown metric 'stale_read'.*did you mean 'stale_reads'",
+        ):
+            scenario_from_dict(minimal(metrics=["total_ios", "stale_read"]))
+
+    def test_nonsense_metric_rejected_at_load(self):
+        with pytest.raises(ScenarioSchemaError, match="nonsense_metric"):
+            scenario_from_dict(minimal(metrics=["nonsense_metric"]))
+
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            "total_ios",
+            "repair_pages",
+            "stale_reads_per_1000_reads",
+            "steady_response_time_ms",
+            "probe_p95_response_time_ms",
+            "server3_utilization",
+            "clustering_overhead_ios",
+            "kernel_holds_warped",
+        ],
+    )
+    def test_every_reported_metric_family_accepted(self, metric):
+        scenario = scenario_from_dict(minimal(metrics=[metric]))
+        assert scenario.metrics == (metric,)
+
 
 class TestConfigBlock:
     def test_unknown_config_key_names_key_and_suggestion(self):
@@ -103,6 +131,37 @@ class TestConfigBlock:
     def test_semantic_errors_carry_the_path(self):
         with pytest.raises(ScenarioSchemaError, match="pgsize"):
             scenario_from_dict(minimal(config={"pgsize": 1000}))
+
+    @pytest.mark.parametrize(
+        "config, path, got",
+        [
+            ({"nusers": 1.5}, "config.nusers", "float"),
+            ({"nusers": True}, "config.nusers", "bool"),
+            ({"multilvl": 2.5}, "config.multilvl", "float"),
+            ({"ocb": {"hotn": 2.5}}, "config.ocb.hotn", "float"),
+            ({"ocb": {"hotn": math.nan}}, "config.ocb.hotn", "float"),
+            ({"cluster": {"servers": "4"}}, "config.cluster.servers", "str"),
+            ({"disksea": True}, "config.disksea", "bool"),
+            ({"pgrep": 3}, "config.pgrep", "int"),
+            (
+                {"replication": {"read_your_writes": 1}},
+                "config.replication.read_your_writes",
+                "int",
+            ),
+        ],
+    )
+    def test_values_must_fit_the_declared_field_type(self, config, path, got):
+        with pytest.raises(ScenarioSchemaError, match=rf"{path} must be .*got {got}"):
+            scenario_from_dict(minimal(config=config))
+
+    def test_point_values_are_type_checked_too(self):
+        data = minimal(points=[{"x": 1, "config": {"nusers": 2.0}}])
+        with pytest.raises(ScenarioSchemaError, match=r"points\[0\]\.config\.nusers"):
+            scenario_from_dict(data)
+
+    def test_int_accepted_for_float_field(self):
+        scenario = scenario_from_dict(minimal(config={"disksea": 7}))
+        assert scenario.points[0][1].disksea == 7
 
     def test_enum_strings_coerce(self):
         scenario = scenario_from_dict(minimal(config={"sysclass": "object_server"}))
