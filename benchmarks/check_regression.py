@@ -13,7 +13,7 @@ exits non-zero when either
 
 When the ``--baseline`` file does not exist (e.g. the first CI run on a
 branch with no previous artifact), the committed trajectory snapshot
-given by ``--fallback`` (default: the repo's ``BENCH_9.json``) is used
+given by ``--fallback`` (default: the repo's ``BENCH_13.json``) is used
 instead.  Three baseline shapes are understood:
 
 * the ``VOODB_BENCH_JSON`` summary the bench conftest writes
@@ -47,7 +47,7 @@ from typing import Dict, Optional
 
 #: Committed trajectory snapshot used when the baseline artifact is
 #: missing (first run on a branch, expired CI artifact...).
-DEFAULT_FALLBACK = str(Path(__file__).resolve().parent.parent / "BENCH_9.json")
+DEFAULT_FALLBACK = str(Path(__file__).resolve().parent.parent / "BENCH_13.json")
 
 
 def _from_conftest_summary(payload: dict) -> Optional[Dict[str, float]]:
@@ -187,7 +187,7 @@ def main(argv=None) -> int:
         "--fallback",
         default=DEFAULT_FALLBACK,
         help="committed snapshot used when --baseline does not exist "
-        "(default: the repo's BENCH_9.json)",
+        "(default: the repo's BENCH_13.json)",
     )
     parser.add_argument(
         "--allow-missing",

@@ -12,7 +12,7 @@ file proves the tier's cost scales with transactions, not users.
 Wall-clock seconds are machine facts, not simulation facts, so they
 stay out of the golden: the per-rung timings are printed to stdout and
 the bench's total lands in the ``VOODB_BENCH_JSON`` summary (the
-``BENCH_9.json`` trajectory snapshot), where the CI bench-drift gate
+``BENCH_13.json`` trajectory snapshot), where the CI bench-drift gate
 watches them.
 """
 

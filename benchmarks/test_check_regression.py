@@ -209,3 +209,10 @@ class TestMain:
         bench2 = Path(__file__).resolve().parent.parent / "BENCH_2.json"
         means = load_bench_means(str(bench2))
         assert "figure6" in means and all(v > 0 for v in means.values())
+
+    def test_default_fallback_parses(self):
+        from check_regression import DEFAULT_FALLBACK
+
+        means = load_bench_means(DEFAULT_FALLBACK)
+        assert "figure6" in means
+        assert all(v > 0 for v in means.values())

@@ -70,12 +70,15 @@ fault kinds and the recovery machinery on top:
 * a periodic **anti-entropy** process Merkle-style compares page
   versions with reachable peers and back-fills stale copies over the
   interconnect, and quorum reads **read-repair** divergent replicas
-  they observe.
+  they observe.  Each node keeps a sorted *behind* list of the pages
+  it may lag on, so a sweep visits those pages only: its cost follows
+  divergence, not the number of pages ever written.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
@@ -212,6 +215,9 @@ class ClusterNode:
         self.gray_stream = None
         #: this node's retry-jitter stream (``retry-{i}`` when enabled).
         self.retry_stream = None
+        #: sorted pages this node replicates that may lag ``_version``
+        #: (filled only while anti-entropy runs; see ``_mark_behind``).
+        self.behind: List[int] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ClusterNode {self.index} accesses={self.accesses}>"
@@ -589,6 +595,11 @@ class Cluster:
             for node in self.nodes:
                 node.gray_stream = sim.stream(f"gray-{node.index}")
                 node.retry_stream = sim.stream(f"retry-{node.index}")
+        #: incremental anti-entropy bookkeeping, on only while repair
+        #: sweeps run: writes fill the nodes' ``behind`` lists and record
+        #: each page's first-write ordinal (its index in ``_version``).
+        self._anti_entropy = self.faults_on and self._repair_interval > 0
+        self._first_write: Dict[int, int] = {}
         if self._failures_enabled:
             for node in self.nodes:
                 node.failures = FailureInjector(
@@ -1243,6 +1254,8 @@ class Cluster:
                 page, owners, node, downtime, forwarded, degraded
             )
         version = self._version.get(page, 0) + 1
+        if self._anti_entropy:
+            self._mark_behind(page, version, owners, primary)
         self._version[page] = version
         node.applied[page] = version
         outcome = node.memory.access(page, True)
@@ -1286,6 +1299,28 @@ class Cluster:
                 self._committed[page] = version
             return step
         return self._await_write_quorum(step, ack, page, version)
+
+    def _mark_behind(
+        self, page: int, version: int, owners: Tuple[int, ...], writer: int
+    ) -> None:
+        """Record that a write leaves the page's other owners behind.
+
+        Every ``applied`` value is at most ``_version``, so a node
+        holding the latest version cannot be back-filled: only the
+        non-writing owners of a freshly written page need a sweep's
+        visit.  Sweeps drop caught-up pages lazily, so appliers and
+        read-repair never touch the lists.
+        """
+        if version == 1:
+            self._first_write[page] = len(self._version)
+        nodes = self.nodes
+        for owner in owners:
+            if owner == writer:
+                continue
+            behind = nodes[owner].behind
+            position = bisect_left(behind, page)
+            if position == len(behind) or behind[position] != page:
+                behind.insert(position, page)
 
     def _await_write_quorum(self, step, ack, page: int, version: int):
         if step is not None:
@@ -1471,11 +1506,20 @@ class Cluster:
         paying one page ship per back-fill.  Versions only move
         forward, so a sweep is idempotent and the old primary's
         catch-up after a partition or crash is version-guarded.
+
+        Only the node's ``behind`` pages are visited, in ascending
+        order — the same back-fills, in the same order, as a scan of
+        every page written before the summaries were exchanged.  The
+        next page is looked up in the live list after each ship, so a
+        page falling behind above the cursor mid-sweep is still
+        visited; a page first written after the snapshot is not.
         """
         sim = self.sim
         nodes = self.nodes
         interconnect = self.interconnect
         router = self.router
+        version_of = self._version
+        first_write = self._first_write
         for node in nodes:
             if node.down_until > sim.now:
                 continue
@@ -1492,11 +1536,21 @@ class Cluster:
                 step = interconnect.transfer_nowait(self._message_bytes)
                 if step is not None:
                     yield from step
-            for page in sorted(self._version):
-                owners = router.replicas(page)
-                if node.index not in owners:
+            snapshot = len(version_of)
+            behind = node.behind
+            page = -1
+            while True:
+                position = bisect_right(behind, page)
+                if position == len(behind):
+                    break
+                page = behind[position]
+                if first_write[page] >= snapshot:
                     continue
                 have = node.applied.get(page, 0)
+                if have >= version_of[page]:
+                    del behind[position]
+                    continue
+                owners = router.replicas(page)
                 best = have
                 source = None
                 for owner in owners:

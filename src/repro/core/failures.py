@@ -89,6 +89,25 @@ def _check_rate(name: str, value: float) -> None:
         raise ValueError(f"{name} must be >= 0 (0 disables), got {value!r}")
 
 
+#: The smallest positive ms value :func:`ms_to_ticks` does not round
+#: to 0 ticks (half a tick rounds to even, i.e. to 0).
+MIN_POSITIVE_MS = math.nextafter(MS_PER_TICK / 2, math.inf)
+
+
+def _check_tick_resolution(name: str, value: float) -> None:
+    """A positive fault-layer knob must last at least one tick.
+
+    Below half a tick ``ms_to_ticks`` rounds it to 0 — the value that
+    means "never" (or "instant") — so the feature would silently turn
+    off instead of running at the requested rate.
+    """
+    if 0 < value < MIN_POSITIVE_MS:
+        raise ValueError(
+            f"{name}={value!r} rounds to 0 ticks; the smallest accepted "
+            f"positive value is {MIN_POSITIVE_MS!r} ms"
+        )
+
+
 def _check_duration(
     name: str, value: float, minimum: float = 0.0
 ) -> None:
@@ -129,6 +148,7 @@ class RetryConfig:
                 f"timeout_ms must be > 0, got {self.timeout_ms!r} "
                 f"(a zero timeout would declare every peer dead)"
             )
+        _check_tick_resolution("timeout_ms", self.timeout_ms)
         if not isinstance(self.max_retries, int) or self.max_retries < 0:
             raise ValueError(
                 f"max_retries must be an int >= 0, got {self.max_retries!r}"
@@ -197,6 +217,14 @@ class FaultConfig:
             )
         _check_duration("gray_slowdown", self.gray_slowdown, 1.0)
         _check_duration("election_delay_ms", self.election_delay_ms)
+        for name in (
+            "partition_mtbf_ms",
+            "gray_mtbf_ms",
+            "repair_interval_ms",
+            "partition_heal_ms",
+            "gray_heal_ms",
+        ):
+            _check_tick_resolution(name, getattr(self, name))
         if groups:
             if self.partition_mtbf_ms <= 0:
                 raise ValueError(

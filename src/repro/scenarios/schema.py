@@ -44,6 +44,7 @@ readability, the canonical form spells the resolved fields out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple, get_type_hints
 
@@ -134,6 +135,19 @@ def _check_keys(
             )
 
 
+def _check_preset_megabytes(value: Any, key: str, source: str) -> None:
+    """A ``cache_mb``/``memory_mb`` sugar value: a finite number > 0."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ScenarioSchemaError(
+            source, f"{key} must be a finite number of MB > 0, got {value!r}"
+        )
+
+
 def _base_preset(
     data: Mapping, where: str, source: str
 ) -> VOODBConfig:
@@ -163,11 +177,13 @@ def _base_preset(
     if base == "o2":
         config = o2_config()
         if cache_mb is not None:
+            _check_preset_megabytes(cache_mb, f"{where}.cache_mb", source)
             config = config.with_changes(buffsize=o2_buffer_pages(cache_mb))
         return config
     if base == "texas":
         config = texas_config()
         if memory_mb is not None:
+            _check_preset_megabytes(memory_mb, f"{where}.memory_mb", source)
             config = config.with_changes(
                 buffsize=texas_memory_frames(memory_mb)
             )

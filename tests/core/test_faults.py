@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core import ArrivalConfig, ClusterConfig, VOODBConfig
 from repro.core.failures import (
+    MIN_POSITIVE_MS,
     FailureConfig,
     FaultConfig,
     RetryConfig,
@@ -30,6 +31,7 @@ from repro.core.failures import (
 from repro.core.model import VOODBSimulation, run_replication
 from repro.core.parameters import ReplicationConfig
 from repro.despy import RandomStream
+from repro.despy.timebase import MS_PER_TICK, ms_to_ticks
 from repro.experiments import SerialExecutor
 from repro.experiments.report import format_scenario, scenario_to_json
 from repro.scenarios import get_scenario, run_scenario
@@ -102,6 +104,17 @@ class TestRetryConfigValidation:
     def test_defaults_are_valid(self):
         RetryConfig()
 
+    @pytest.mark.parametrize(
+        "value", [1.0e-9, MS_PER_TICK / 4, MS_PER_TICK / 2]
+    )
+    def test_rejects_a_sub_tick_timeout(self, value):
+        with pytest.raises(ValueError, match=repr(MIN_POSITIVE_MS)):
+            RetryConfig(timeout_ms=value)
+
+    def test_smallest_timeout_lasts_one_tick(self):
+        config = RetryConfig(timeout_ms=MIN_POSITIVE_MS)
+        assert RetryPolicy(config).timeout == 1
+
 
 class TestFaultConfigValidation:
     def test_disabled_by_default(self):
@@ -134,6 +147,33 @@ class TestFaultConfigValidation:
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError):
             FaultConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "partition_mtbf_ms",
+            "gray_mtbf_ms",
+            "repair_interval_ms",
+            "partition_heal_ms",
+            "gray_heal_ms",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "value", [1.0e-9, MS_PER_TICK / 4, MS_PER_TICK / 2]
+    )
+    def test_rejects_sub_tick_values(self, field, value):
+        # ms_to_ticks would round these to 0 ticks: "never" for a
+        # rate, an instant heal for a duration.
+        with pytest.raises(ValueError, match=f"{field}.*{MIN_POSITIVE_MS!r}"):
+            FaultConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["partition_mtbf_ms", "gray_mtbf_ms", "repair_interval_ms"]
+    )
+    def test_smallest_positive_value_lasts_one_tick(self, field):
+        config = FaultConfig(**{field: MIN_POSITIVE_MS})
+        assert config.enabled
+        assert ms_to_ticks(getattr(config, field)) == 1
 
     def test_groups_without_partitions_are_inert(self):
         with pytest.raises(ValueError, match="partition_mtbf_ms > 0"):
@@ -400,6 +440,259 @@ def test_convergence_holds_with_crashes_too():
     for page, version in cluster._committed.items():
         for owner in cluster.router.replicas(page):
             assert cluster.nodes[owner].applied.get(page, 0) >= version
+
+
+# ----------------------------------------------------------------------
+# Incremental anti-entropy: the behind-list sweep == the full scan
+# ----------------------------------------------------------------------
+def _full_scan_sweep(cluster):
+    """The reference: a sweep scanning every page ever written, which
+    ``_repair_sweep`` must match back-fill for back-fill."""
+    sim = cluster.sim
+    nodes = cluster.nodes
+    interconnect = cluster.interconnect
+    router = cluster.router
+    for node in nodes:
+        if node.down_until > sim.now:
+            continue
+        peers = [
+            other
+            for other in nodes
+            if other.index != node.index
+            and other.down_until <= sim.now
+            and cluster._reachable_at(node.index, other.index, sim.now)
+        ]
+        if not peers:
+            continue
+        for _ in peers:
+            step = interconnect.transfer_nowait(cluster._message_bytes)
+            if step is not None:
+                yield from step
+        for page in sorted(cluster._version):
+            owners = router.replicas(page)
+            if node.index not in owners:
+                continue
+            have = node.applied.get(page, 0)
+            best = have
+            source = None
+            for owner in owners:
+                if owner == node.index:
+                    continue
+                peer = nodes[owner]
+                if peer.down_until > sim.now:
+                    continue
+                if not cluster._reachable_at(node.index, owner, sim.now):
+                    continue
+                version = peer.applied.get(page, 0)
+                if version > best:
+                    best = version
+                    source = owner
+            if source is None:
+                continue
+            step = interconnect.transfer_nowait(cluster._page_bytes)
+            if step is not None:
+                yield from step
+            node.applied[page] = best
+            outcome = node.memory.access(page, True)
+            if not outcome.hit and outcome.writeback_pages:
+                yield from cluster._node_writebacks(
+                    node, outcome.writeback_pages
+                )
+            cluster.repair_pages += 1
+
+
+class _ShipPerYield:
+    """An interconnect stand-in: every transfer is exactly one yield,
+    so a sweep can be suspended (and the cluster mutated) at each ship
+    without running the event loop."""
+
+    #: the write path's own timed tail is never driven here.
+    infinite = True
+
+    def transfer_nowait(self, nbytes):
+        return iter((nbytes,))
+
+
+class _LoggedApplied(dict):
+    """A node's ``applied`` map that logs ``(node, page, version)``
+    stores while its recorder is on."""
+
+    def __init__(self, index, log):
+        super().__init__()
+        self.index = index
+        self.log = log
+
+    def __setitem__(self, page, version):
+        if self.log.on:
+            self.log.append((self.index, page, version))
+        super().__setitem__(page, version)
+
+
+class _BackfillLog(list):
+    on = False
+
+
+#: Pages the generated states touch (few, so writes collide).
+_SWEEP_PAGES = 12
+_FAR = 10**12
+
+_SWEEP_OPS = st.one_of(
+    # a write of page p led by owner i (mod the replica set)
+    st.tuples(st.just("write"), st.integers(0, _SWEEP_PAGES - 1),
+              st.integers(0, 2)),
+    # an applier/read-repair install: owner i of page p moves to
+    # ``lag`` versions below the latest (never backwards)
+    st.tuples(st.just("apply"), st.integers(0, _SWEEP_PAGES - 1),
+              st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(st.just("crash"), st.integers(0, 3), st.booleans()),
+    st.tuples(st.just("partition"), st.booleans()),
+)
+
+
+def _sweep_cluster(replication=2):
+    """A 4-node cluster; a partition cuts it into {0, 1} and {2, 3}."""
+    config = fault_config(
+        cluster=ClusterConfig(
+            servers=4, replication=replication, interconnect_mbps=25.0
+        )
+    )
+    cluster = VOODBSimulation(config, seed=1).cluster
+    assert cluster._anti_entropy
+    cluster.interconnect = _ShipPerYield()
+    log = _BackfillLog()
+    for node in cluster.nodes:
+        node.applied = _LoggedApplied(node.index, log)
+    return cluster, log
+
+
+def _apply_op(cluster, op):
+    kind = op[0]
+    if kind == "write":
+        _, page, choice = op
+        owners = cluster.router.replicas(page)
+        cluster._write_core(page, owners, None, owners[choice % len(owners)])
+    elif kind == "apply":
+        _, page, choice, lag = op
+        owners = cluster.router.replicas(page)
+        node = cluster.nodes[owners[choice % len(owners)]]
+        version = cluster._version.get(page, 0) - lag
+        if version > node.applied.get(page, 0):
+            node.applied[page] = version
+    elif kind == "crash":
+        _, index, down = op
+        cluster.nodes[index].down_until = _FAR if down else 0
+    else:
+        cluster._partition_until = _FAR if op[1] else 0
+
+
+def _sweep_trace(sweep, setup, mid, between, replication):
+    """Build a state, run two sweeps, return everything they did.
+
+    ``mid`` maps a yield ordinal of the first sweep to the operations
+    applied while it is suspended there; ``between`` runs after it.
+    """
+    cluster, log = _sweep_cluster(replication)
+    for op in setup:
+        _apply_op(cluster, op)
+    log.on = True
+    for ordinal, _ship in enumerate(sweep(cluster)):
+        log.on = False
+        for op in mid.get(ordinal, ()):
+            _apply_op(cluster, op)
+        log.on = True
+    first = list(log)
+    log.on = False
+    for op in between:
+        _apply_op(cluster, op)
+    log.on = True
+    for _ship in sweep(cluster):
+        pass
+    return (
+        first,
+        log[len(first):],
+        cluster.repair_pages,
+        [dict(node.applied) for node in cluster.nodes],
+    )
+
+
+def _both_sweeps(setup, mid, between=(), replication=2):
+    old = _sweep_trace(_full_scan_sweep, setup, mid, between, replication)
+    new = _sweep_trace(
+        lambda cluster: cluster._repair_sweep(),
+        setup, mid, between, replication,
+    )
+    assert new == old
+    return new
+
+
+@given(
+    replication=st.sampled_from((2, 3)),
+    setup=st.lists(_SWEEP_OPS, max_size=40),
+    mid=st.dictionaries(
+        st.integers(0, 24), st.lists(_SWEEP_OPS, min_size=1, max_size=3),
+        max_size=6,
+    ),
+    between=st.lists(_SWEEP_OPS, max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_incremental_sweep_matches_the_full_scan(
+    replication, setup, mid, between
+):
+    _both_sweeps(setup, mid, between, replication)
+
+
+def _node0_pages(cluster):
+    """The lowest and highest pages node 0 replicates."""
+    pages = [
+        page
+        for page in range(_SWEEP_PAGES)
+        if 0 in cluster.router.replicas(page)
+    ]
+    return pages[0], pages[-1]
+
+
+def _write_led(cluster, page, by_node0):
+    """A write op on ``page`` led by node 0, or by its other owner."""
+    owners = cluster.router.replicas(page)
+    choice = next(i for i, o in enumerate(owners) if (o == 0) == by_node0)
+    return ("write", page, choice)
+
+
+#: With all 4 nodes up, node 0's first yields are its 3 summaries; the
+#: next one is the ship of its first back-fill.
+_FIRST_SHIP = 3
+
+
+def test_page_first_written_mid_sweep_is_not_visited():
+    """Node 0 lags on ``low``; while its back-fill ships, ``high`` (above
+    the cursor) is written for the first time.  The snapshot predates
+    that write, so node 0's pass skips it — the next sweep repairs it."""
+    cluster, _log = _sweep_cluster()
+    low, high = _node0_pages(cluster)
+    setup = [_write_led(cluster, low, by_node0=False)]
+    mid = {_FIRST_SHIP: [_write_led(cluster, high, by_node0=False)]}
+    first, second, repairs, _applied = _both_sweeps(setup, mid)
+    assert (0, low, 1) in first
+    assert (0, high, 1) not in first
+    assert (0, high, 1) in second
+    assert repairs == 2
+
+
+def test_page_falling_behind_above_the_cursor_is_visited():
+    """Node 0 lags only on ``low``; while its back-fill ships, ``high`` —
+    written by node 0 before the snapshot, so not on its list — falls
+    behind.  The pass still reaches it, as the full scan would."""
+    cluster, _log = _sweep_cluster()
+    low, high = _node0_pages(cluster)
+    setup = [
+        _write_led(cluster, low, by_node0=False),
+        _write_led(cluster, high, by_node0=True),
+    ]
+    mid = {_FIRST_SHIP: [_write_led(cluster, high, by_node0=False)]}
+    first, _second, _repairs, applied = _both_sweeps(setup, mid)
+    assert (0, low, 1) in first
+    assert (0, high, 2) in first
+    assert applied[0][high] == 2
 
 
 # ----------------------------------------------------------------------

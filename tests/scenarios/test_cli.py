@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro scenario`` command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -158,3 +159,14 @@ class TestScenarioFiles:
         path = self._write(tmp_path, "format: wrong\nname: x\n")
         assert main(["scenario", "validate", path]) == 2
         assert "format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((Path(__file__).parent / "hostile").glob("*.yaml")),
+        ids=lambda path: path.stem,
+    )
+    def test_validate_rejects_hostile_fixture(self, path, capsys):
+        assert main(["scenario", "validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err

@@ -197,6 +197,31 @@ class TestPresets:
         with pytest.raises(ScenarioSchemaError, match="cache_mb"):
             scenario_from_dict(minimal(config={"base": "texas", "cache_mb": 2.0}))
 
+    @pytest.mark.parametrize(
+        "base,key", [("o2", "cache_mb"), ("texas", "memory_mb")]
+    )
+    @pytest.mark.parametrize(
+        "value", [0.0, -1.0, math.nan, math.inf, True, "big"]
+    )
+    def test_preset_size_must_be_positive_and_finite(self, base, key, value):
+        with pytest.raises(ScenarioSchemaError, match=rf"config\.{key} must be"):
+            scenario_from_dict(minimal(config={"base": base, key: value}))
+
+    def test_preset_size_error_from_a_file_names_it(self):
+        text = "\n".join(
+            [
+                f"format: {SCENARIO_FORMAT}",
+                "name: hostile",
+                "title: Hostile",
+                "description: NaN cache.",
+                "config:",
+                "  base: o2",
+                "  cache_mb: .nan",
+            ]
+        )
+        with pytest.raises(ScenarioSchemaError, match="cache_mb must be"):
+            load_scenario_text(text)
+
     def test_unknown_preset_suggests(self):
         with pytest.raises(ScenarioSchemaError, match="did you mean 'texas'"):
             scenario_from_dict(minimal(config={"base": "texa"}))
