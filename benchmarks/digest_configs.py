@@ -1,4 +1,4 @@
-"""Kernel-equivalence digests: 15 pinned configs, one hex digest each.
+"""Kernel-equivalence digests: 21 pinned configs, one hex digest each.
 
 The PR-5/PR-6 equivalence methodology: run one replication of each
 pinned configuration, flatten its full metric dictionary (kernel
@@ -17,7 +17,10 @@ event-list rewrite be swapped with confidence::
 config.  The config set deliberately crosses every subsystem the tick
 refactor touched: system classes, replacement policies, clustering,
 cluster topologies, virtual memory, prefetching, failure injection,
-lock contention and write traffic.
+lock contention and write traffic.  Six cluster configs cover the
+consistency spectrum (sync and async replication, quorums, free and
+throttled interconnects, crashes, partitions), so a refactor of the
+cluster's page service gets a full-metric equivalence check too.
 """
 
 from __future__ import annotations
@@ -28,8 +31,13 @@ import json
 import sys
 
 from repro.core import run_replication
-from repro.core.failures import FailureConfig
-from repro.core.parameters import ClusterConfig, SystemClass, VOODBConfig
+from repro.core.failures import FailureConfig, FaultConfig
+from repro.core.parameters import (
+    ClusterConfig,
+    ReplicationConfig,
+    SystemClass,
+    VOODBConfig,
+)
 from repro.ocb.parameters import OCBConfig
 from repro.systems.o2 import o2_config
 from repro.systems.texas import texas_config
@@ -45,8 +53,21 @@ def _ocb(**overrides) -> OCBConfig:
 
 
 def pinned_configs() -> dict:
-    """The 15 pinned (name -> config) equivalence points."""
+    """The 21 pinned (name -> config) equivalence points."""
     base = VOODBConfig(ocb=_ocb())
+    writes = VOODBConfig(ocb=_ocb(pwrite=0.3))
+    # Four users keep several page services in flight at once, so the
+    # cluster configs see interconnect contention and crash failovers.
+    shared = writes.with_changes(nusers=4)
+    throttled_r2 = ClusterConfig(
+        servers=3, replication=2, interconnect_mbps=25.0
+    )
+    async_r3 = shared.with_changes(
+        cluster=ClusterConfig(servers=3, replication=3),
+        replication=ReplicationConfig(
+            mode="async", read_quorum=2, write_quorum=2
+        ),
+    )
     return {
         "default": base,
         # nusers > multilvl so the multiprogramming cap actually binds.
@@ -57,7 +78,7 @@ def pinned_configs() -> dict:
         "mru": base.with_changes(pgrep="MRU"),
         "fifo": base.with_changes(pgrep="FIFO"),
         "prefetch-cluster": base.with_changes(prefetch="cluster"),
-        "writes": VOODBConfig(ocb=_ocb(pwrite=0.3)),
+        "writes": writes,
         "contended-locks": VOODBConfig(
             ocb=_ocb(pwrite=0.3), multilvl=10, nusers=10
         ),
@@ -69,6 +90,25 @@ def pinned_configs() -> dict:
         ),
         "cluster-3": base.with_changes(
             cluster=ClusterConfig(servers=3, placement="hash")
+        ),
+        "cluster-sync-r2": shared.with_changes(
+            cluster=ClusterConfig(servers=3, replication=2)
+        ),
+        "cluster-sync-r2-25mbps": shared.with_changes(cluster=throttled_r2),
+        "cluster-object-server-25mbps": shared.with_changes(
+            sysclass=SystemClass.OBJECT_SERVER, cluster=throttled_r2
+        ),
+        "cluster-async-quorum": async_r3,
+        "cluster-async-crashes": async_r3.with_changes(
+            failures=FailureConfig(crash_mtbf_ms=8_000.0)
+        ),
+        "cluster-partitions": async_r3.with_changes(
+            faults=FaultConfig(
+                partition_mtbf_ms=1_500.0,
+                partition_heal_ms=400.0,
+                election_delay_ms=25.0,
+                repair_interval_ms=250.0,
+            )
         ),
         "texas-vm": texas_config(nc=20, no=5000, memory_mb=16, hotn=_HOTN),
         "o2-dstc": o2_config(
@@ -88,13 +128,13 @@ def run_digests(seed: int = 1) -> dict:
     digests = {}
     for name, config in pinned_configs().items():
         digests[name] = digest_config(config, seed=seed)
-        print(f"{name:>18}  {digests[name]}")
+        print(f"{name:>28}  {digests[name]}")
     return digests
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Hex-digest the 15 pinned kernel-equivalence configs."
+        description="Hex-digest the 21 pinned kernel-equivalence configs."
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", help="write the digests JSON here")

@@ -48,6 +48,21 @@ floor.  Failure injection composes per node (independent hazard
 streams): reads fail over around crashed nodes in ring order, writes
 queue behind the down primary's recovery.
 
+Every configuration is served by **one page-service path**,
+:meth:`Cluster.serve_page_nowait`: sync replication is the general path
+with W = N and no apply delay, so a feature that is configured but
+never fires leaves the run identical to the feature being off.  Three
+timing rules hold on it:
+
+1. a sync write over a free interconnect installs the replica images
+   at write time and writes back the victims they evict after the
+   primary's disk work; over a throttled interconnect each image
+   ships, then installs, after the primary's work;
+2. a forwarded (object-server) service over a throttled interconnect
+   touches the owner's buffer only once the home node's request has
+   arrived; everywhere else the buffer is touched at dispatch;
+3. served reads, the stale-rate base, are counted in async mode only.
+
 The **fault-tolerance layer**
 (:class:`~repro.core.failures.FaultConfig` /
 :class:`~repro.core.failures.RetryConfig`) adds the degraded-mode
@@ -191,8 +206,8 @@ class ClusterNode:
         self.locks = LockManager(sim, config, with_admission=False)
         #: page/object service operations this node performed.
         self.accesses = 0
-        # --- extended-mode state (async replication / per-node hazards);
-        # inert unless the Cluster wires the corresponding feature on.
+        # --- consistency and hazard state (async replication, per-node
+        # hazards); inert unless the Cluster wires the feature on.
         #: this node's hazard injector (node-indexed stream when enabled).
         self.failures = NoFailures()
         #: tick until which this node is crash-recovering (0 = healthy).
@@ -515,17 +530,11 @@ class Cluster:
         #: instead of the synchronous fan-out.
         self.async_mode = self.replication_config.is_async
         self._apply_delay = ms_to_ticks(self.replication_config.apply_delay_ms)
+        #: per-node hazard injection (crashes probed per page service).
         self._failures_enabled = config.failures.enabled
         #: public gate for the fault-tolerance layer (partitions, gray
         #: failures, retry contract, elections, anti-entropy).
         self.faults_on = config.faults.enabled
-        #: extended page service: any feature that perturbs the plain
-        #: sync path (async replication, per-node hazards and/or the
-        #: fault layer).  The plain path stays byte-identical when this
-        #: is False.
-        self._extended = (
-            self.async_mode or self._failures_enabled or self.faults_on
-        )
         #: latest version enqueued per page (bumped at the primary write).
         self._version: Dict[int, int] = {}
         #: latest version with a full write-quorum of acks per page.
@@ -535,13 +544,13 @@ class Cluster:
         #: per-page elected primary (absent = the placement primary;
         #: only the fault layer's elections fill it).
         self._leader: Dict[int, int] = {}
-        # Extended counters
+        # Consistency and hazard counters
         self.stale_reads = 0
         self.replica_applies = 0
         self.replica_lag_ticks = 0
         self.read_failovers = 0
         self.write_recovery_waits = 0
-        #: page reads the extended path served (stale-rate denominator).
+        #: page reads served in async mode (stale-rate denominator).
         self.reads_served = 0
         # Fault-layer counters (all stay 0 when the layer is off)
         self.partitions = 0
@@ -640,135 +649,18 @@ class Cluster:
         self._coordinator_rr += 1
         return index
 
-    def _serving_node(self, page: int, write: bool, home: Optional[int]) -> int:
-        """Pick the node serving one page access, deterministically.
-
-        Writes always apply at the primary.  Reads prefer the home node
-        when it holds a replica (object-server locality), otherwise
-        balance round-robin across the replica set.
-        """
-        owners = self.router.replicas(page)
-        if write or len(owners) == 1:
-            return owners[0]
-        if home is not None and home in owners:
-            return home
-        index = self._rr % len(owners)
-        self._rr += 1
-        return owners[index]
-
     # ------------------------------------------------------------------
     # Page service
     # ------------------------------------------------------------------
     def serve_page_nowait(self, page: int, write: bool, home: Optional[int] = None):
         """Serve one page access; ``None`` when no simulated time passes.
 
-        Only valid when the interconnect is free (infinite throughput):
-        all messages are booked synchronously and a generator is
-        returned only for the disk work of buffer misses.  ``home`` is
-        the assembling node (object-server forwarding); ``None`` means
-        the client routed the request straight to the serving node
-        (page-server smart driver).
-        """
-        if self._extended:
-            return self._serve_page_ext(page, write, home)
-        owners = self.router.replicas(page)
-        target = self._serving_node(page, write, home)
-        node = self.nodes[target]
-        node.accesses += 1
-        if home is not None and target != home:
-            # The home node fetches the page from its owner: one
-            # request/response round trip on the interconnect.
-            self.remote_fetches += 1
-            self.interconnect.transfer_nowait(self._message_bytes)
-            self.interconnect.transfer_nowait(self._page_bytes)
-        if not write and target != owners[0]:
-            self.replica_reads += 1
-        outcome = node.memory.access(page, write)
-        step = None if outcome.hit else self._node_miss_io(node, outcome)
-        if write and len(owners) > 1:
-            extra = self._propagate_nowait(page, owners)
-            if extra is not None:
-                step = extra if step is None else _chain((step, extra))
-        return step
-
-    def serve_page(self, page: int, write: bool, home: Optional[int] = None):
-        """Timed variant of :meth:`serve_page_nowait` (generator).
-
-        Used when the interconnect has finite throughput, so replica
-        and forwarding transfers must pass through the event loop.
-        """
-        if self._extended:
-            step = self._serve_page_ext(page, write, home)
-            if step is not None:
-                yield from step
-            return
-        owners = self.router.replicas(page)
-        target = self._serving_node(page, write, home)
-        node = self.nodes[target]
-        node.accesses += 1
-        interconnect = self.interconnect
-        if home is not None and target != home:
-            self.remote_fetches += 1
-            step = interconnect.transfer_nowait(self._message_bytes)
-            if step is not None:
-                yield from step
-        if not write and target != owners[0]:
-            self.replica_reads += 1
-        outcome = node.memory.access(page, write)
-        if not outcome.hit:
-            yield from self._node_miss_io(node, outcome)
-        if home is not None and target != home:
-            step = interconnect.transfer_nowait(self._page_bytes)
-            if step is not None:
-                yield from step
-        if write and len(owners) > 1:
-            for replica in owners[1:]:
-                self.replica_writes += 1
-                step = interconnect.transfer_nowait(self._page_bytes)
-                if step is not None:
-                    yield from step
-                yield from self._install_replica(self.nodes[replica], page)
-
-    def _propagate_nowait(self, page: int, owners: Tuple[int, ...]):
-        """Ship a written page to the non-primary replicas (free net).
-
-        The replicas install the received image straight into their
-        buffers — no disk read — so the only event-loop work is writing
-        back the dirty victims the installations evicted.
-        """
-        steps = None
-        for replica in owners[1:]:
-            self.replica_writes += 1
-            self.interconnect.transfer_nowait(self._page_bytes)
-            node = self.nodes[replica]
-            outcome = node.memory.access(page, True)
-            if not outcome.hit and outcome.writeback_pages:
-                if steps is None:
-                    steps = []
-                steps.append(self._node_writebacks(node, outcome.writeback_pages))
-        if steps is None:
-            return None
-        if len(steps) == 1:
-            return steps[0]
-        return _chain(steps)
-
-    def _install_replica(self, node: ClusterNode, page: int):
-        """Install a replicated page image at ``node`` (timed path)."""
-        outcome = node.memory.access(page, True)
-        if not outcome.hit and outcome.writeback_pages:
-            yield from self._node_writebacks(node, outcome.writeback_pages)
-
-    # ------------------------------------------------------------------
-    # Extended page service: async replication and/or per-node hazards
-    # ------------------------------------------------------------------
-    def _serve_page_ext(self, page: int, write: bool, home: Optional[int]):
-        """Nowait-contract page service for the extended cluster modes.
-
-        Backs both :meth:`serve_page_nowait` and :meth:`serve_page` when
-        async replication or per-node failure injection is active:
-        timed work (finite-interconnect transfers, crash downtime,
-        quorum waits, disk misses) is returned as a generator, ``None``
-        means the access completed without simulated time.
+        The one page-service path of every cluster configuration: timed
+        work (throttled-interconnect transfers, crash downtime,
+        elections, quorum waits, disk misses) is returned as a generator
+        to ``yield from``.  ``home`` is the assembling node (object-server
+        forwarding); ``None`` means the client routed the request
+        straight to the serving node (page-server smart driver).
         """
         owners = self.router.replicas(page)
         if self.faults_on:
@@ -783,13 +675,24 @@ class Cluster:
                 return self._write_core(page, owners, home, leader)
             return self._read_core(page, owners, home)
         if write:
-            delay = self.nodes[owners[0]].down_until - self.sim.now
-            if delay > 0:
+            resume = self.nodes[owners[0]].down_until
+            if resume > self.sim.now:
                 # Writes queue behind the crashed primary's recovery.
                 self.write_recovery_waits += 1
-                return self._write_after_recovery(delay, page, home)
+                return self._serve_at(resume, page, True, home)
             return self._write_core(page, owners, home)
         return self._read_core(page, owners, home)
+
+    #: The same body under a second name, which the perfbench tracer
+    #: also wraps.
+    serve_page = serve_page_nowait
+
+    def _serve_at(self, resume: int, page: int, write: bool, home):
+        """Wait until tick ``resume``, then serve the access afresh."""
+        yield Hold(resume - self.sim.now)
+        step = self.serve_page_nowait(page, write, home)
+        if step is not None:
+            yield from step
 
     # -- Fault-layer state machinery (partitions / gray / retry) -------
     @staticmethod
@@ -1004,9 +907,21 @@ class Cluster:
             yield from step
 
     def _read_core(self, page: int, owners: Tuple[int, ...], home):
+        """Serve one page read (see :meth:`serve_page_nowait`).
+
+        The read is routed deterministically: to the home node when it
+        holds a replica (object-server locality), otherwise round-robin
+        across the replica set.
+        """
         now = self.sim.now
         nodes = self.nodes
-        target = self._serving_node(page, False, home)
+        if len(owners) == 1:
+            target = owners[0]
+        elif home is not None and home in owners:
+            target = home
+        else:
+            target = owners[self._rr % len(owners)]
+            self._rr += 1
         if nodes[target].down_until > now:
             start = owners.index(target)
             for offset in range(1, len(owners)):
@@ -1021,13 +936,13 @@ class Cluster:
                 # recovery, then retry the access from scratch.
                 self.read_failovers += 1
                 resume = min(nodes[index].down_until for index in owners)
-                return self._resume_read(resume, page, home)
+                return self._serve_at(resume, page, False, home)
         probes = 0
-        penalty = 0
+        delay = 0
         repair = None
         if self.async_mode:
             if self.faults_on:
-                target, probes, penalty, repair = (
+                target, probes, delay, repair = (
                     self._consistent_read_target_fault(
                         page, owners, target, now
                     )
@@ -1039,21 +954,23 @@ class Cluster:
             if target is None:
                 # A session guarantee needs the (down) primary.
                 primary = self._leader.get(page, owners[0])
-                return self._resume_read(
-                    nodes[primary].down_until, page, home
+                return self._serve_at(
+                    nodes[primary].down_until, page, False, home
                 )
-        node = nodes[target]
-        node.accesses += 1
-        self.reads_served += 1
-        if target != owners[0]:
-            self.replica_reads += 1
-        if self.async_mode:
-            applied = node.applied.get(page, 0)
+            # Only async replicas can be stale: served reads are the
+            # stale-rate base there and nowhere else.
+            self.reads_served += 1
+            applied = nodes[target].applied.get(page, 0)
             if applied < self._committed.get(page, 0):
                 self.stale_reads += 1
             if applied > self._served.get(page, 0):
                 self._served[page] = applied
-        downtime = self._crash_probe(node)
+        node = nodes[target]
+        node.accesses += 1
+        if target != owners[0]:
+            self.replica_reads += 1
+        if self._failures_enabled:
+            delay += self._crash_probe(node)
         degraded = False
         if self.faults_on:
             self._gray_probe(node)
@@ -1071,25 +988,17 @@ class Cluster:
                     home, target, nodes[home].retry_stream, now
                 )
                 if ok:
-                    penalty += cost
+                    delay += cost
                 else:
                     self.abandoned_reads += 1
-                    penalty += (
+                    delay += (
                         self._next_responsive(home, target, now + cost) - now
                     )
                 if degraded:
-                    penalty += self._gray_ship_extra
-        if degraded:
-            outcome = node.memory.access(page, False)
-            miss = (
-                None
-                if outcome.hit
-                else self._node_miss_io_degraded(node, outcome)
-            )
-        else:
-            outcome = node.memory.access(page, False)
-            miss = None if outcome.hit else self._node_miss_io(node, outcome)
-        step = self._assemble(downtime + penalty, forwarded, probes, miss)
+                    delay += self._gray_ship_extra
+        step = self._assemble(
+            node, page, False, degraded, delay, forwarded, probes
+        )
         if repair is not None:
             step = repair if step is None else _chain((step, repair))
         return step
@@ -1218,18 +1127,6 @@ class Cluster:
                         node, outcome.writeback_pages
                     )
 
-    def _resume_read(self, resume: int, page: int, home):
-        yield Hold(resume - self.sim.now)
-        step = self._serve_page_ext(page, False, home)
-        if step is not None:
-            yield from step
-
-    def _write_after_recovery(self, delay: int, page: int, home):
-        yield Hold(delay)
-        step = self._serve_page_ext(page, True, home)
-        if step is not None:
-            yield from step
-
     def _write_core(
         self,
         page: int,
@@ -1241,7 +1138,7 @@ class Cluster:
         primary = owners[0] if leader is None else leader
         node = self.nodes[primary]
         node.accesses += 1
-        downtime = self._crash_probe(node)
+        downtime = self._crash_probe(node) if self._failures_enabled else 0
         degraded = False
         if self.faults_on:
             self._gray_probe(node)
@@ -1250,21 +1147,22 @@ class Cluster:
         if forwarded:
             self.remote_fetches += 1
         if not self.async_mode:
-            return self._sync_write_with_hazards(
-                page, owners, node, downtime, forwarded, degraded
+            # Sync replication: the general path with W = N and no
+            # apply delay.
+            step = self._assemble(
+                node, page, True, degraded, downtime, forwarded, 0
             )
+            if len(owners) == 1:
+                return step
+            return self._sync_propagate(step, page, owners)
         version = self._version.get(page, 0) + 1
         if self._anti_entropy:
             self._mark_behind(page, version, owners, primary)
         self._version[page] = version
         node.applied[page] = version
-        outcome = node.memory.access(page, True)
-        if outcome.hit:
-            miss = None
-        elif degraded:
-            miss = self._node_miss_io_degraded(node, outcome)
-        else:
-            miss = self._node_miss_io(node, outcome)
+        step = self._assemble(
+            node, page, True, degraded, downtime, forwarded, 0
+        )
         ack = None
         if len(owners) > 1:
             quorum = self.replication_config.write_quorum
@@ -1292,7 +1190,6 @@ class Cluster:
                 if depth > peer.queue_peak:
                     peer.queue_peak = depth
                 peer.apply_gate.open()
-        step = self._assemble(downtime, forwarded, 0, miss)
         if ack is None:
             # W=1 (or no replicas): the primary apply is the commit.
             if version > self._committed.get(page, 0):
@@ -1332,34 +1229,42 @@ class Cluster:
         if version > self._committed.get(page, 0):
             self._committed[page] = version
 
-    def _sync_write_with_hazards(
-        self,
-        page: int,
-        owners: Tuple[int, ...],
-        node: ClusterNode,
-        downtime: int,
-        forwarded: bool,
-        degraded: bool = False,
-    ):
-        outcome = node.memory.access(page, True)
-        if outcome.hit:
-            miss = None
-        elif degraded:
-            miss = self._node_miss_io_degraded(node, outcome)
-        else:
-            miss = self._node_miss_io(node, outcome)
-        step = self._assemble(downtime, forwarded, 0, miss)
-        if len(owners) == 1:
-            return step
-        return self._sync_propagate(step, page, owners)
-
     def _sync_propagate(self, step, page: int, owners: Tuple[int, ...]):
-        """Synchronous fan-out, skipping replicas that are down.
+        """Synchronous fan-out after the primary's ``step``.
 
-        A crashed replica misses the propagation, but its crash already
-        invalidated its buffer — on recovery the stale image cannot be
-        served from memory, so the skip is consistency-safe.
+        Replicas that are down are skipped: a crashed replica misses
+        the propagation, but its crash already invalidated its buffer —
+        on recovery the stale image cannot be served from memory, so the
+        skip is consistency-safe.  Over a free interconnect the replicas
+        install the image at write time — no disk read — and only the
+        dirty victims they evict are written back, after the primary's
+        disk work; a throttled interconnect ships each image, then
+        installs it, once the primary's work is done.
         """
+        interconnect = self.interconnect
+        if not interconnect.infinite:
+            return self._ship_replicas(step, page, owners)
+        now = self.sim.now
+        steps = [] if step is None else [step]
+        for replica in owners[1:]:
+            peer = self.nodes[replica]
+            if peer.down_until > now:
+                continue
+            self.replica_writes += 1
+            interconnect.transfer_nowait(self._page_bytes)
+            outcome = peer.memory.access(page, True)
+            if not outcome.hit and outcome.writeback_pages:
+                steps.append(
+                    self._node_writebacks(peer, outcome.writeback_pages)
+                )
+        if not steps:
+            return None
+        if len(steps) == 1:
+            return steps[0]
+        return _chain(steps)
+
+    def _ship_replicas(self, step, page: int, owners: Tuple[int, ...]):
+        """Throttled-interconnect fan-out (see :meth:`_sync_propagate`)."""
         if step is not None:
             yield from step
         interconnect = self.interconnect
@@ -1390,31 +1295,62 @@ class Cluster:
             node.down_until = self.sim.now + downtime
         return downtime
 
-    def _assemble(self, downtime: int, forwarded: bool, probes: int, miss):
-        """Fold the timed parts of one page service into a nowait step."""
-        interconnect = self.interconnect
-        if interconnect.infinite:
-            if forwarded:
-                interconnect.transfer_nowait(self._message_bytes)
-                interconnect.transfer_nowait(self._page_bytes)
-            for _ in range(probes):
-                interconnect.transfer_nowait(self._message_bytes)
-            if downtime == 0:
-                return miss
-            return self._hold_then(downtime, miss)
-        return self._timed_tail(downtime, forwarded, probes, miss)
+    def _assemble(
+        self,
+        node: ClusterNode,
+        page: int,
+        write: bool,
+        degraded: bool,
+        delay: int,
+        forwarded: bool,
+        probes: int,
+    ):
+        """Touch the serving node's buffer and fold the timed parts of
+        one page service (``delay`` ticks of downtime and retry
+        penalty, the forwarding round trip, ``probes`` quorum messages,
+        the disk miss) into a nowait step.
 
-    @staticmethod
-    def _hold_then(downtime: int, miss):
-        yield Hold(downtime)
-        if miss is not None:
-            yield from miss
+        The buffer is touched at dispatch, except for a forwarded
+        service over a throttled interconnect: there the owner touches
+        it only once the home node's request message has arrived.
+        """
+        if forwarded or probes:
+            interconnect = self.interconnect
+            if not interconnect.infinite:
+                if forwarded:
+                    return self._timed_tail(
+                        delay, probes, None, (node, page, write, degraded)
+                    )
+            else:
+                if forwarded:
+                    interconnect.transfer_nowait(self._message_bytes)
+                    interconnect.transfer_nowait(self._page_bytes)
+                for _ in range(probes):
+                    interconnect.transfer_nowait(self._message_bytes)
+                probes = 0
+        outcome = node.memory.access(page, write)
+        if outcome.hit:
+            miss = None
+        elif degraded:
+            miss = self._node_miss_io_degraded(node, outcome)
+        else:
+            miss = self._node_miss_io(node, outcome)
+        if delay or probes:
+            return self._timed_tail(delay, probes, miss)
+        return miss
 
-    def _timed_tail(self, downtime: int, forwarded: bool, probes: int, miss):
-        if downtime:
-            yield Hold(downtime)
+    def _timed_tail(self, delay: int, probes: int, miss, forwarded=None):
+        """The timed remainder of one page service.
+
+        ``forwarded`` is the deferred ``(node, page, write, degraded)``
+        buffer access of a forwarded service: the request message
+        crosses first, the owner touches its buffer on arrival, and the
+        page travels back after the disk work.
+        """
+        if delay:
+            yield Hold(delay)
         interconnect = self.interconnect
-        if forwarded:
+        if forwarded is not None:
             step = interconnect.transfer_nowait(self._message_bytes)
             if step is not None:
                 yield from step
@@ -1422,9 +1358,12 @@ class Cluster:
             step = interconnect.transfer_nowait(self._message_bytes)
             if step is not None:
                 yield from step
+        if forwarded is not None:
+            # The deferred buffer access, with nothing else left to fold.
+            miss = self._assemble(*forwarded, 0, False, 0)
         if miss is not None:
             yield from miss
-        if forwarded:
+        if forwarded is not None:
             step = interconnect.transfer_nowait(self._page_bytes)
             if step is not None:
                 yield from step

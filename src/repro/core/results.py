@@ -35,8 +35,8 @@ from repro.despy.stats import MIN_STEADY_OBSERVATIONS, steady_state_estimate
 ALWAYS = ""
 #: a cluster topology served the phase (per-server figures exist)
 CLUSTER = "server_ios"
-#: the extended cluster path (async replication, per-node hazards or the
-#: fault layer) served page reads
+#: async replication served page reads (only async replicas can be
+#: stale, so the stale-read rate exists only there)
 EXTENDED = "cluster_reads"
 #: the fault-tolerance layer was on
 FAULTS = "fault_layer"
@@ -192,7 +192,7 @@ class PhaseResults:
     #: Peak apply-queue depth per server node (async mode only).
     apply_queue_peak: Tuple[int, ...] = ()
     # -- Fault-tolerance layer (FaultConfig / RetryConfig) -----------------
-    #: Page reads the extended cluster path served (stale-rate base).
+    #: Page reads served in async replication mode (stale-rate base).
     cluster_reads: int = counter("cluster.reads_served", EXTENDED)
     #: Whether the fault layer was active this phase (gates metrics).
     fault_layer: bool = False
@@ -305,8 +305,8 @@ class PhaseResults:
         """Stale-read *rate*: stale reads per 1000 served page reads.
 
         The raw counter scales with the workload; the rate is the
-        comparable figure across scenarios (0.0 when no reads ran
-        through the extended path).
+        comparable figure across scenarios (0.0 when no async-mode
+        reads ran).
         """
         if self.cluster_reads <= 0:
             return 0.0

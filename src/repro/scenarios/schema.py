@@ -227,11 +227,46 @@ def _check_types(
         else:
             fits = isinstance(value, kind)
         if not fits or (kind is not bool and isinstance(value, bool)):
+            hint = _number_hint(kind, value) if isinstance(value, str) else ""
             raise ScenarioSchemaError(
                 source,
                 f"{where}.{key} must be {kind.__name__}, "
-                f"got {type(value).__name__} {value!r}",
+                f"got {type(value).__name__} {value!r}{hint}",
             )
+
+
+def _yaml_float(text: str) -> str:
+    """``text`` respelled so YAML 1.1 reads it as a float."""
+    mantissa, mark, exponent = text.lower().partition("e")
+    if "." not in mantissa:
+        mantissa += ".0"
+    if mark and exponent[:1] not in ("+", "-"):
+        exponent = "+" + exponent
+    return mantissa + mark + exponent
+
+
+def _number_hint(kind: type, text: str) -> str:
+    """How to write a number that loaded as text (``""``: not a number).
+
+    PyYAML reads YAML 1.1, where a float needs a dot and a signed
+    exponent: ``rate_tps: 6e1`` loads as the string ``'6e1'``.  The
+    value is still rejected; the hint names spellings that load.
+    """
+    if kind not in (int, float):
+        return ""
+    try:
+        number = float(text)
+    except ValueError:
+        return ""
+    if not math.isfinite(number) or (kind is int and not number.is_integer()):
+        return ""
+    if kind is int:
+        spellings = [str(int(number))]
+    else:
+        spellings = [_yaml_float(repr(number))]
+        if "e" in text.lower():
+            spellings.append(_yaml_float(text.strip()))
+    return f" (to load it as a number, write {' or '.join(spellings)})"
 
 
 def _apply_section(

@@ -154,6 +154,24 @@ class TestConfigBlock:
         with pytest.raises(ScenarioSchemaError, match=rf"{path} must be .*got {got}"):
             scenario_from_dict(minimal(config=config))
 
+    @pytest.mark.parametrize(
+        "config, hint",
+        [
+            ({"nusers": "1e1"}, "write 10"),
+            ({"disksea": "7"}, "write 7.0"),
+            ({"disksea": "1E-3"}, "write 0.001 or 1.0e-3"),
+        ],
+    )
+    def test_numeric_text_is_rejected_with_a_spelling_hint(self, config, hint):
+        with pytest.raises(ScenarioSchemaError) as caught:
+            scenario_from_dict(minimal(config=config))
+        assert str(caught.value).endswith(f"(to load it as a number, {hint})")
+
+    def test_non_numeric_text_gets_no_hint(self):
+        with pytest.raises(ScenarioSchemaError) as caught:
+            scenario_from_dict(minimal(config={"disksea": "fast"}))
+        assert str(caught.value).endswith("got str 'fast'")
+
     def test_point_values_are_type_checked_too(self):
         data = minimal(points=[{"x": 1, "config": {"nusers": 2.0}}])
         with pytest.raises(ScenarioSchemaError, match=r"points\[0\]\.config\.nusers"):
@@ -293,6 +311,26 @@ class TestLoaderFormats:
         "[config.ocb]\n"
         "hotn = 50\n"
     )
+
+    def test_yaml11_exponent_is_rejected_with_a_hint(self):
+        # PyYAML reads YAML 1.1: an exponent without a dot and a sign is
+        # text, so ``6e1`` stays rejected, but the error says how to
+        # spell the number.
+        text = self.YAML.replace(
+            "  netthru: .inf\n",
+            "  arrivals:\n    mode: poisson\n    rate_tps: 6e1\n",
+        )
+        with pytest.raises(
+            ScenarioSchemaError,
+            match=(
+                r"config\.arrivals\.rate_tps must be float, got str '6e1' "
+                r"\(to load it as a number, write 60\.0 or 6\.0e\+1\)"
+            ),
+        ):
+            load_scenario_text(text)
+        for spelling in ("60.0", "6.0e+1"):
+            scenario = load_scenario_text(text.replace("6e1", spelling))
+            assert scenario.points[0][1].arrivals.rate_tps == 60.0
 
     def test_yaml_text_loads(self):
         scenario = load_scenario_text(self.YAML)
