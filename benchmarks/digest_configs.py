@@ -21,6 +21,10 @@ lock contention and write traffic.  Six cluster configs cover the
 consistency spectrum (sync and async replication, quorums, free and
 throttled interconnects, crashes, partitions), so a refactor of the
 cluster's page service gets a full-metric equivalence check too.
+
+``digests.json`` next to this script pins the seed-1 digests of the
+pure-Python kernel; ``test_digests.py`` checks them in tier-1, and the
+compiled kernel is compared against the same file with ``--compare``.
 """
 
 from __future__ import annotations

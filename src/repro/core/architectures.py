@@ -109,16 +109,6 @@ class Architecture(ABC):
     # ------------------------------------------------------------------
     # Shared server-side page path
     # ------------------------------------------------------------------
-    def _server_page_access(self, page: int, write: bool):
-        """Figure 4's Buffering Manager → I/O Subsystem chain for a page."""
-        outcome = self.memory.access(page, write)
-        if outcome.hit:
-            if page in self._prefetched_unused:
-                self._prefetched_unused.discard(page)
-                self.prefetch_hits += 1
-            return
-        yield from self._miss_io(outcome, page)
-
     def _miss_io(self, outcome, page: int):
         """The disk traffic one buffer miss produced (writebacks, swap,
         the read itself, prefetching)."""
@@ -183,20 +173,6 @@ class Architecture(ABC):
             self._prefetched_unused.add(extra)
             self.prefetched_pages += 1
 
-    def _server_object_access(self, oid: int, write: bool):
-        """Fetch every page of the object, then run the swizzle hook."""
-        for page in self.object_manager.pages_of(oid):
-            yield from self._server_page_access(page, write)
-        io = self.io
-        disk_inline = io.disk.try_acquire_inline
-        disk_release = io.disk.release_inline
-        for __ in self.memory.note_object_access(oid):
-            if not disk_inline():
-                yield io._request_disk
-            yield io.swap_write_hold()
-            if not disk_release():
-                yield PARK
-
     def _server_object_access_nowait(self, oid: int, write: bool):
         """Synchronous server-side object access, handing off on a miss.
 
@@ -227,9 +203,8 @@ class Architecture(ABC):
 
         The miss traffic (write-backs, swap, the read) and the walk over
         the object's remaining pages run in this single frame — the VM
-        model's fault storms otherwise pay a ``_miss_io`` +
-        ``_server_page_access`` generator pair per faulted page.  The
-        command sequence is exactly the delegated formulation's.
+        model's fault storms would otherwise pay a generator per faulted
+        page.
         """
         io = self.io
         request_disk = io._request_disk
@@ -563,25 +538,30 @@ class ObjectServer(Architecture):
                 return None
             self.client_misses += 1
         network = self.network
-        if network.infinite:
-            network.transfer_nowait(self.config.message_bytes)
-            step = self._server_object_access_nowait(oid, write)
-            if step is None:
-                network.transfer_nowait(self.db.size(oid))
-                return None
-            return self._object_server_finish(step, oid)
-        return self._object_server_tail(oid, write)
+        if not network.infinite:
+            return self._object_server_tail(oid, write)
+        network.transfer_nowait(self.config.message_bytes)
+        step = self._server_object_access_nowait(oid, write)
+        if step is None:
+            network.transfer_nowait(self.db.size(oid))
+            return None
+        return self._object_server_tail(oid, write, step)
 
-    def _object_server_finish(self, step, oid: int):
-        yield from step
-        self.network.transfer_nowait(self.db.size(oid))
+    def _object_server_tail(self, oid: int, write: bool, server=None):
+        """The timed remainder of one object access.
 
-    def _object_server_tail(self, oid: int, write: bool):
+        ``server`` is the server-side step of an access whose request
+        already crossed a free network; without it the request message
+        ships first, then the server walks the object's pages.
+        """
         network = self.network
-        step = network.transfer_nowait(self.config.message_bytes)
-        if step is not None:
-            yield from step
-        yield from self._server_object_access(oid, write)
+        if server is None:
+            step = network.transfer_nowait(self.config.message_bytes)
+            if step is not None:
+                yield from step
+            server = self._server_object_access_nowait(oid, write)
+        if server is not None:
+            yield from server
         step = network.transfer_nowait(self.db.size(oid))
         if step is not None:
             yield from step

@@ -63,6 +63,12 @@ timing rules hold on it:
    arrived; everywhere else the buffer is touched at dispatch;
 3. served reads, the stale-rate base, are counted in async mode only.
 
+The same holds one level down: a quorum read is one ring walk over the
+replica set (:meth:`Cluster._consult_replicas`), and every disk
+operation a node performs — buffer misses, replica installs, repairs —
+goes through one generator (:meth:`Cluster._node_miss_io`).  The fault
+layer below adds branches to those bodies, not second copies of them.
+
 The **fault-tolerance layer**
 (:class:`~repro.core.failures.FaultConfig` /
 :class:`~repro.core.failures.RetryConfig`) adds the degraded-mode
@@ -72,11 +78,13 @@ fault kinds and the recovery machinery on top:
   for a heal time (sampled by thinning on a dedicated ``partitions``
   stream);
 * *gray failures* put a node into a degraded mode that multiplies its
-  disk and interconnect service times (per-node ``gray-{i}`` streams);
+  disk and interconnect service times (per-node ``gray-{i}`` streams):
+  the served page's disk work is stretched, replica installs are not;
 * every remote operation — quorum-read consultations, replica ships,
   coordinator fetches — honours the **timeout/retry/backoff contract**
   and abandons unresponsive peers instead of blocking
-  (``remote_timeouts``/``remote_retries``/``abandoned_reads``);
+  (``remote_timeouts``/``remote_retries``/``abandoned_reads``); without
+  the layer, a consultation simply skips crashed replicas;
 * when a page's primary crashes or is partitioned away from the
   majority of its replica set, the freshest reachable replica is
   **promoted** after an election delay and writes redirect to it
@@ -95,7 +103,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.despy.process import PARK, Hold, Release, Request, WaitFor
 from repro.despy.resource import Gate, Resource
@@ -174,18 +182,6 @@ class ShardRouter:
         )
         self._replica_cache[page] = replicas
         return replicas
-
-    def for_servers(
-        self, servers: int, total_pages: Optional[int] = None
-    ) -> "ShardRouter":
-        """A re-sharded router for a new cluster size (same strategy)."""
-        return ShardRouter(
-            servers,
-            self.placement,
-            self.total_pages if total_pages is None else total_pages,
-            min(self.replication, servers),
-            self.seed,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -373,69 +369,41 @@ class ClusterLockManager:
     # ------------------------------------------------------------------
     # Transaction-side protocol
     # ------------------------------------------------------------------
-    def admit(self):
-        yield self.admission_request
-
-    def leave(self):
-        yield self.admission_release
-
-    def _partition(
-        self, oids: Iterable[int], presorted: bool = False
-    ) -> List[Tuple[int, List[int]]]:
-        """Split the lock set by home node, each part in ascending oid.
-
-        A ``presorted`` input (sorted, distinct — the Transaction
-        Manager's contract) partitions order-preservingly, so every
-        per-node part is already canonical and the node tables can skip
-        their re-sort; otherwise ids are deduplicated here and the node
-        tables canonicalize.  Either way the acquisition order is the
-        same total order over ``(home node, oid)``.
-        """
+    def _partition(self, distinct: List[int]) -> List[Tuple[int, List[int]]]:
+        """Split the sorted lock set by home node, each part in
+        ascending oid: the acquisition order is the total order over
+        ``(home node, oid)``."""
         home_of = self._home_of
         parts: Dict[int, List[int]] = {}
-        if presorted:
-            for oid in oids:
-                parts.setdefault(home_of(oid), []).append(oid)
-        else:
-            for oid in set(oids):
-                parts.setdefault(home_of(oid), []).append(oid)
+        for oid in distinct:
+            parts.setdefault(home_of(oid), []).append(oid)
         return sorted(parts.items())
 
-    def acquire_all_nowait(
-        self,
-        txn_id: int,
-        oids: Iterable[int],
-        writes: set,
-        presorted: bool = False,
-    ):
-        parts = self._partition(oids, presorted)
+    def acquire_all_nowait(self, txn_id: int, distinct: List[int], writes: set):
+        parts = self._partition(distinct)
         for position, (node, part) in enumerate(parts):
             step = self._nodes[node].locks.acquire_all_nowait(
-                txn_id, part, writes, presorted
+                txn_id, part, writes
             )
             if step is not None:
                 return self._acquire_tail(
-                    step, txn_id, parts[position + 1 :], writes, presorted
+                    step, txn_id, parts[position + 1 :], writes
                 )
         return None
 
-    def _acquire_tail(self, step, txn_id, rest, writes, presorted):
+    def _acquire_tail(self, step, txn_id, rest, writes):
         yield from step
         for node, part in rest:
             step = self._nodes[node].locks.acquire_all_nowait(
-                txn_id, part, writes, presorted
+                txn_id, part, writes
             )
             if step is not None:
                 yield from step
 
-    def release_all_nowait(
-        self, txn_id: int, oids: Iterable[int], presorted: bool = False
-    ):
+    def release_all_nowait(self, txn_id: int, distinct: List[int]):
         steps = []
-        for node, part in self._partition(oids, presorted):
-            step = self._nodes[node].locks.release_all_nowait(
-                txn_id, part, presorted
-            )
+        for node, part in self._partition(distinct):
+            step = self._nodes[node].locks.release_all_nowait(txn_id, part)
             if step is not None:
                 steps.append(step)
         if not steps:
@@ -941,16 +909,9 @@ class Cluster:
         delay = 0
         repair = None
         if self.async_mode:
-            if self.faults_on:
-                target, probes, delay, repair = (
-                    self._consistent_read_target_fault(
-                        page, owners, target, now
-                    )
-                )
-            else:
-                target, probes = self._consistent_read_target(
-                    page, owners, target, now
-                )
+            target, probes, delay, repair = self._consult_replicas(
+                page, owners, target, now
+            )
             if target is None:
                 # A session guarantee needs the (down) primary.
                 primary = self._leader.get(page, owners[0])
@@ -1003,53 +964,58 @@ class Cluster:
             step = repair if step is None else _chain((step, repair))
         return step
 
-    def _consistent_read_target(
+    def _consult_replicas(
         self, page: int, owners: Tuple[int, ...], target: int, now: int
     ):
         """Apply quorum consultation and session guarantees to a read.
 
-        Returns ``(node, probe_messages)``; ``node`` is ``None`` when a
-        session guarantee can only be met by the primary and the primary
-        is down (the caller waits out its recovery).
+        Consults ``read_quorum`` replicas in ring order from the routed
+        ``target`` — each extra consultation is a version-probe round
+        trip on the interconnect — and serves from the freshest (the
+        first consulted on a tie).  A replica too stale for
+        read-your-writes / monotonic reads falls back to the (elected)
+        primary, which holds the newest version when up.
+
+        Without the fault layer a crashed replica is silently skipped.
+        With it, each candidate is gray-probed and consulted under the
+        timeout/retry/backoff ladder: peers that do not answer are
+        **abandoned** (``abandoned_reads``), the ladder cost lands on the
+        read's response time, and consulted replicas behind the
+        freshest version are **read-repaired** over the interconnect.
+
+        Returns ``(target, probe_messages, penalty_ticks, repair_step)``;
+        ``target`` is ``None`` when a session guarantee needs the primary
+        and the primary is down (the caller waits out its recovery).
         """
         rep = self.replication_config
         nodes = self.nodes
-        probes = 0
+        faults_on = self.faults_on
+        penalty = 0
         consulted = [target]
         if rep.read_quorum > 1 and len(owners) > 1:
-            # Consult R live replicas (ring order from the routed node)
-            # and serve from the freshest — each extra consultation is a
-            # version-probe round trip on the interconnect.
+            rng = nodes[target].retry_stream
             start = owners.index(target)
             for offset in range(1, len(owners)):
                 if len(consulted) >= rep.read_quorum:
                     break
                 candidate = owners[(start + offset) % len(owners)]
-                if nodes[candidate].down_until <= now:
-                    consulted.append(candidate)
-            probes = 2 * (len(consulted) - 1)
-        target, _version = self._read_target(page, owners, consulted, now)
-        return target, probes
-
-    def _read_target(
-        self, page: int, owners: Tuple[int, ...], consulted: List[int], now: int
-    ):
-        """The node a read is served from, and the version it holds.
-
-        Serves from the freshest of the ``consulted`` replicas (the
-        first consulted on a tie), then applies the session guarantees:
-        a replica too stale for read-your-writes / monotonic reads falls
-        back to the (elected) primary, which holds the newest version
-        when up.  The node is ``None`` when that primary is down.
-        """
-        nodes = self.nodes
-        target = consulted[0]
+                if faults_on:
+                    self._gray_probe(nodes[candidate])
+                    ok, cost = self._retry_outcome(
+                        target, candidate, rng, now + penalty
+                    )
+                    penalty += cost
+                    if not ok:
+                        self.abandoned_reads += 1
+                        continue
+                elif nodes[candidate].down_until > now:
+                    continue
+                consulted.append(candidate)
         best_version = nodes[target].applied.get(page, 0)
         for candidate in consulted[1:]:
             version = nodes[candidate].applied.get(page, 0)
             if version > best_version:
                 target, best_version = candidate, version
-        rep = self.replication_config
         required = 0
         if rep.read_your_writes:
             required = self._version.get(page, 0)
@@ -1059,57 +1025,18 @@ class Cluster:
                 required = floor
         if required and best_version < required:
             primary = self._leader.get(page, owners[0])
-            if nodes[primary].down_until > now:
-                return None, best_version
-            target = primary
-        return target, best_version
-
-    def _consistent_read_target_fault(
-        self, page: int, owners: Tuple[int, ...], target: int, now: int
-    ):
-        """Quorum consultation under the retry contract, with read-repair.
-
-        The fault-layer variant of :meth:`_consistent_read_target`:
-        consulted peers that do not answer within the timeout/backoff
-        ladder are **abandoned** (``abandoned_reads``) instead of
-        silently skipped, their ladder cost lands on the read's
-        response time, and replicas the consultation observes behind
-        the freshest version are **read-repaired** over the
-        interconnect.  Returns ``(target, probe_messages,
-        penalty_ticks, repair_step)``; ``target`` ``None`` means a
-        session guarantee needs the (down) primary.
-        """
-        rep = self.replication_config
-        nodes = self.nodes
-        probes = 0
-        penalty = 0
+            target = None if nodes[primary].down_until > now else primary
         repair = None
-        consulted = [target]
-        if rep.read_quorum > 1 and len(owners) > 1:
-            rng = nodes[target].retry_stream
-            start = owners.index(target)
-            for offset in range(1, len(owners)):
-                if len(consulted) >= rep.read_quorum:
-                    break
-                candidate = owners[(start + offset) % len(owners)]
-                self._gray_probe(nodes[candidate])
-                ok, cost = self._retry_outcome(
-                    target, candidate, rng, now + penalty
-                )
-                penalty += cost
-                if ok:
-                    consulted.append(candidate)
-                else:
-                    self.abandoned_reads += 1
-            probes = 2 * (len(consulted) - 1)
-        target, best_version = self._read_target(page, owners, consulted, now)
-        stale = [
-            c for c in consulted if nodes[c].applied.get(page, 0) < best_version
-        ]
-        if stale:
-            self.read_repairs += len(stale)
-            repair = self._read_repair(page, best_version, stale)
-        return target, probes, penalty, repair
+        if faults_on:
+            stale = [
+                c
+                for c in consulted
+                if nodes[c].applied.get(page, 0) < best_version
+            ]
+            if stale:
+                self.read_repairs += len(stale)
+                repair = self._read_repair(page, best_version, stale)
+        return target, 2 * (len(consulted) - 1), penalty, repair
 
     def _read_repair(self, page: int, version: int, stale: List[int]):
         """Back-fill the divergent replicas a quorum read observed."""
@@ -1123,7 +1050,7 @@ class Cluster:
                 node.applied[page] = version
                 outcome = node.memory.access(page, True)
                 if not outcome.hit and outcome.writeback_pages:
-                    yield from self._node_writebacks(
+                    yield from self._node_miss_io(
                         node, outcome.writeback_pages
                     )
 
@@ -1255,7 +1182,7 @@ class Cluster:
             outcome = peer.memory.access(page, True)
             if not outcome.hit and outcome.writeback_pages:
                 steps.append(
-                    self._node_writebacks(peer, outcome.writeback_pages)
+                    self._node_miss_io(peer, outcome.writeback_pages)
                 )
         if not steps:
             return None
@@ -1278,7 +1205,7 @@ class Cluster:
                 yield from transfer
             outcome = peer.memory.access(page, True)
             if not outcome.hit and outcome.writeback_pages:
-                yield from self._node_writebacks(
+                yield from self._node_miss_io(
                     peer, outcome.writeback_pages
                 )
 
@@ -1331,10 +1258,13 @@ class Cluster:
         outcome = node.memory.access(page, write)
         if outcome.hit:
             miss = None
-        elif degraded:
-            miss = self._node_miss_io_degraded(node, outcome)
         else:
-            miss = self._node_miss_io(node, outcome)
+            miss = self._node_miss_io(
+                node,
+                outcome.writeback_pages,
+                outcome.read_page,
+                self._gray_slowdown - 1.0 if degraded else 0.0,
+            )
         if delay or probes:
             return self._timed_tail(delay, probes, miss)
         return miss
@@ -1425,7 +1355,7 @@ class Cluster:
                 applied[page] = version
                 outcome = node.memory.access(page, True)
                 if not outcome.hit and outcome.writeback_pages:
-                    yield from self._node_writebacks(
+                    yield from self._node_miss_io(
                         node, outcome.writeback_pages
                     )
             self.replica_applies += 1
@@ -1512,7 +1442,7 @@ class Cluster:
                 node.applied[page] = best
                 outcome = node.memory.access(page, True)
                 if not outcome.hit and outcome.writeback_pages:
-                    yield from self._node_writebacks(
+                    yield from self._node_miss_io(
                         node, outcome.writeback_pages
                     )
                 self.repair_pages += 1
@@ -1541,67 +1471,41 @@ class Cluster:
             yield Hold(resume - sim.now)
         yield from self._repair_sweep()
 
-    def _node_miss_io_degraded(self, node: ClusterNode, outcome):
-        """Gray-mode variant of :meth:`_node_miss_io`: every disk
-        operation at a degraded node is stretched by the configured
-        slowdown; the stretch counts as busy time (the disk really is
-        occupied that long)."""
-        io = node.io
-        disk = io.disk
-        scale = self._gray_slowdown - 1.0
-        for victim in outcome.writeback_pages:
-            if not disk.try_acquire_inline():
-                yield io._request_disk
-            hold = io.write_hold(victim)
-            extra = int(hold.duration * scale)
-            yield hold
-            if extra:
-                io.busy_ticks += extra
-                yield Hold(extra)
-            if not disk.release_inline():
-                yield PARK
-        if outcome.read_page is not None:
-            if not disk.try_acquire_inline():
-                yield io._request_disk
-            hold = io.read_hold(outcome.read_page)
-            extra = int(hold.duration * scale)
-            yield hold
-            if extra:
-                io.busy_ticks += extra
-                yield Hold(extra)
-            if not disk.release_inline():
-                yield PARK
-
     @staticmethod
-    def _node_miss_io(node: ClusterNode, outcome):
-        """The disk traffic one buffer miss produced, on the owning node.
+    def _node_miss_io(node: ClusterNode, victims, read_page=None, stretch=0.0):
+        """The disk traffic one buffer miss produced, on the owning node:
+        write back ``victims``, then read ``read_page`` (if any).
 
         Same inline request/release fast paths as the single-server
         architectures: an uncontended node disk costs one Hold event.
+        A degraded (gray) node stretches every operation by ``stretch``
+        times its service time; the stretch counts as busy time (the
+        disk really is occupied that long).
         """
-        io = node.io
-        disk = io.disk
-        for victim in outcome.writeback_pages:
-            if not disk.try_acquire_inline():
-                yield io._request_disk
-            yield io.write_hold(victim)
-            if not disk.release_inline():
-                yield PARK
-        if outcome.read_page is not None:
-            if not disk.try_acquire_inline():
-                yield io._request_disk
-            yield io.read_hold(outcome.read_page)
-            if not disk.release_inline():
-                yield PARK
-
-    @staticmethod
-    def _node_writebacks(node: ClusterNode, victims):
         io = node.io
         disk = io.disk
         for victim in victims:
             if not disk.try_acquire_inline():
                 yield io._request_disk
-            yield io.write_hold(victim)
+            hold = io.write_hold(victim)
+            yield hold
+            if stretch:
+                extra = int(hold.duration * stretch)
+                if extra:
+                    io.busy_ticks += extra
+                    yield Hold(extra)
+            if not disk.release_inline():
+                yield PARK
+        if read_page is not None:
+            if not disk.try_acquire_inline():
+                yield io._request_disk
+            hold = io.read_hold(read_page)
+            yield hold
+            if stretch:
+                extra = int(hold.duration * stretch)
+                if extra:
+                    io.busy_ticks += extra
+                    yield Hold(extra)
             if not disk.release_inline():
                 yield PARK
 

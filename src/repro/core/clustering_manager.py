@@ -28,7 +28,7 @@ particularity in Texas."
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING
 
 from repro.clustering.base import ClusteringPolicy
 from repro.clustering.placement import relocation_placement
@@ -61,27 +61,14 @@ class ClusteringManager:
         self.policy = policy
         policy.attach(db)
         self.report = ClusteringReport(policy=policy.name)
-        self._installed_clusters: List[List[int]] = []
-        self._rebind_access_hook()
+        # Figure 4's per-access statistics hook runs once per object
+        # access; aliasing the policy's bound method on the instance
+        # keeps a pure-delegation frame off the hot path.
+        self.on_object_access = policy.on_object_access
 
     # ------------------------------------------------------------------
     # Figure 4 hooks (called by the Transaction Manager)
     # ------------------------------------------------------------------
-    def on_object_access(self, oid: int, previous_oid: Optional[int]) -> None:
-        self.policy.on_object_access(oid, previous_oid)
-
-    def _rebind_access_hook(self) -> None:
-        # The hook runs once per object access; aliasing the policy's
-        # bound method on the instance removes the pure-delegation frame
-        # from the hot path while keeping ``on_object_access`` the API.
-        self.on_object_access = self.policy.on_object_access
-
-    def after_transaction(self):
-        """Automatic trigger check; reorganizes inline when requested."""
-        step = self.after_transaction_nowait()
-        if step is not None:
-            yield from step
-
     def after_transaction_nowait(self):
         """Trigger check without the generator round-trip.
 
@@ -147,21 +134,7 @@ class ClusteringManager:
         self.report.clusters = len(clusters)
         self.report.clustered_objects = len(moved)
         self.report.moved_objects += len(moved)
-        self._installed_clusters = clusters
         self.policy.notify_reorganized(clusters)
-
-    # ------------------------------------------------------------------
-    def current_order(self) -> List[int]:
-        """Objects in current on-disk order (input to the next placement)."""
-        page_map = self.object_manager.page_map
-        order: List[int] = []
-        for page in range(page_map.total_pages):
-            order.extend(page_map.objects_on(page))
-        return order
-
-    @property
-    def installed_clusters(self) -> List[List[int]]:
-        return self._installed_clusters
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

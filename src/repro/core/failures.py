@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 from repro.despy.randomstream import RandomStream
-from repro.despy.timebase import MS_PER_TICK, ms_to_ticks
+from repro.despy.timebase import MS_PER_TICK, TICK_HORIZON, ms_to_ticks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.despy.engine import Simulation
@@ -105,6 +105,20 @@ def _check_tick_resolution(name: str, value: float) -> None:
         raise ValueError(
             f"{name}={value!r} rounds to 0 ticks; the smallest accepted "
             f"positive value is {MIN_POSITIVE_MS!r} ms"
+        )
+
+
+#: The tick horizon in milliseconds (2**42 ms, about 139 years): delays
+#: at or past it saturate (see :mod:`repro.despy.timebase`).
+HORIZON_MS = TICK_HORIZON * MS_PER_TICK
+
+
+def _check_at_most(name: str, value: float, largest: float, why: str) -> None:
+    """A factor knob must keep the delays it scales below the horizon."""
+    if value > largest:
+        raise ValueError(
+            f"{name}={value!r} {why} past the simulated-time horizon; "
+            f"the largest accepted value is {largest!r}"
         )
 
 
@@ -167,6 +181,20 @@ class RetryConfig:
             raise ValueError(
                 f"jitter must be in [0, 1), got {self.jitter!r}"
             )
+        if self.max_retries >= 2:
+            # The longest backoff precedes the last retry: the base
+            # times multiplier ** (max_retries - 1), plus full jitter.
+            longest_base = ms_to_ticks(self.backoff_base_ms) * (1.0 + self.jitter)
+            largest = max(
+                1.0,
+                (TICK_HORIZON / longest_base) ** (1.0 / (self.max_retries - 1)),
+            )
+            _check_at_most(
+                "backoff_multiplier",
+                self.backoff_multiplier,
+                largest,
+                f"grows the backoff before retry {self.max_retries}",
+            )
 
 
 @dataclass(frozen=True)
@@ -216,6 +244,12 @@ class FaultConfig:
                 f"gray_heal_ms must be > 0, got {self.gray_heal_ms!r}"
             )
         _check_duration("gray_slowdown", self.gray_slowdown, 1.0)
+        _check_at_most(
+            "gray_slowdown",
+            self.gray_slowdown,
+            HORIZON_MS,
+            "stretches a gray node's 1 ms of service",
+        )
         _check_duration("election_delay_ms", self.election_delay_ms)
         for name in (
             "partition_mtbf_ms",

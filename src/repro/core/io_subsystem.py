@@ -106,18 +106,6 @@ class IOSubsystem:
         """Service ticks for one page, applying the contiguity shortcut."""
         return self._service(page)[0]
 
-    def _penalized(self, time: int, hold: Hold) -> "tuple[int, Hold]":
-        """Apply the failure hazard's per-operation penalty, if any.
-
-        Keeps the shared Hold when the penalty is zero (the usual case);
-        otherwise the adjusted duration needs its own command.
-        """
-        penalty = self.failures.io_penalty()
-        if penalty:
-            time += penalty
-            return time, Hold(time)
-        return time, hold
-
     # ------------------------------------------------------------------
     # Process-style operations (yield from these inside processes)
     # ------------------------------------------------------------------

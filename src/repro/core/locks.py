@@ -15,9 +15,8 @@ experiments never exercise deadlock handling (NUSERS=1).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from repro.despy.errors import ResourceError
 from repro.despy.process import Hold, Release, Request, WaitFor
 from repro.despy.resource import Gate, Resource
 from repro.despy.timebase import MS_PER_TICK
@@ -91,43 +90,18 @@ class LockManager:
         return self.wait_ticks * MS_PER_TICK
 
     # ------------------------------------------------------------------
-    # Transaction-side protocol (yield from within processes)
+    # Transaction-side protocol
     # ------------------------------------------------------------------
-    def admit(self):
-        """Enter the multiprogramming mix (may queue)."""
-        if self.admission is None:
-            raise ResourceError(
-                "this lock table has no admission scheduler (cluster nodes "
-                "use the cluster-global one)"
-            )
-        yield self.admission_request
+    def acquire_all_nowait(self, txn_id: int, distinct: List[int], writes: set):
+        """Acquire locks on every object, in order (deadlock-free).
 
-    def leave(self):
-        if self.admission is None:
-            raise ResourceError(
-                "this lock table has no admission scheduler (cluster nodes "
-                "use the cluster-global one)"
-            )
-        yield self.admission_release
-
-    def acquire_all_nowait(
-        self,
-        txn_id: int,
-        oids: Iterable[int],
-        writes: set,
-        presorted: bool = False,
-    ):
-        """Acquire locks on every distinct object, sorted (deadlock-free).
-
-        Pays GETLOCK per lock; blocks while any lock conflicts.  Returns
-        ``None`` when every lock was granted without paying time
-        (GETLOCK = 0) or waiting; otherwise a generator to ``yield from``.
-
-        ``presorted`` promises ``oids`` is already a sorted sequence of
-        distinct ids (the Transaction Manager sorts once per transaction
-        and shares the list with the release sweep).
+        ``distinct`` is a sorted list of distinct ids (the Transaction
+        Manager sorts once per transaction and shares the list with the
+        release sweep).  Pays GETLOCK per lock; blocks while any lock
+        conflicts.  Returns ``None`` when every lock was granted without
+        paying time (GETLOCK = 0) or waiting; otherwise a generator to
+        ``yield from``.
         """
-        distinct = oids if presorted else sorted(set(oids))
         lock_cost = self._getlock_ticks * len(distinct)
         if lock_cost > 0:
             return self._acquire_timed(txn_id, distinct, writes, lock_cost)
@@ -181,14 +155,12 @@ class LockManager:
                 self.wait_ticks += self.sim.now - started
             self.acquisitions += 1
 
-    def release_all_nowait(
-        self, txn_id: int, oids: Iterable[int], presorted: bool = False
-    ):
-        """Release every lock, paying RELLOCK per lock, waking waiters.
+    def release_all_nowait(self, txn_id: int, distinct: List[int]):
+        """Release every lock of the sorted ``distinct`` ids, paying
+        RELLOCK per lock, waking waiters.
 
         ``None`` when RELLOCK costs nothing (releasing never blocks, so
         only the Hold needs the event loop)."""
-        distinct = oids if presorted else sorted(set(oids))
         release_cost = self._rellock_ticks * len(distinct)
         if release_cost > 0:
             return self._release_timed(txn_id, distinct, release_cost)
@@ -224,7 +196,7 @@ class LockManager:
                 entry.exclusive = False
                 self._entry_pool.append(entry)
                 continue
-            self._release(txn_id, oid)
+            self._release(entry, txn_id)
 
     # ------------------------------------------------------------------
     # Lock table mechanics
@@ -276,29 +248,18 @@ class LockManager:
         entry.holders.add(txn_id)
         return True
 
-    def _release(self, txn_id: int, oid: int) -> None:
-        entry = self._table.get(oid)
-        if entry is None:
-            return
-        if entry.__class__ is int:
-            if entry == txn_id or entry == ~txn_id:
-                self.releases += 1
-                del self._table[oid]
-            return
-        if txn_id not in entry.holders:
-            return
+    def _release(self, entry: _LockEntry, txn_id: int) -> None:
+        """Drop ``txn_id`` from a full entry it holds that is shared or
+        has waiters (``_release_sync`` handles every other state)."""
         entry.holders.discard(txn_id)
         self.releases += 1
         if entry.holders:
             return
         entry.exclusive = False
-        # Wake every waiter; each re-checks its grant on resume.  Waking
-        # all (rather than the head) keeps the policy simple and live.
+        # The last holder left, so someone is queued: wake every waiter;
+        # each re-checks its grant on resume.  Waking all (rather than
+        # the head) keeps the policy simple and live.
         waiters, entry.waiters = entry.waiters, []
-        if not waiters:
-            del self._table[oid]
-            self._entry_pool.append(entry)
-            return
         for __, __, gate in waiters:
             gate.open()
 

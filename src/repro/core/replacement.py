@@ -96,20 +96,6 @@ class _LinkedOrderPolicy(ReplacementPolicy):
         sentinel[_PREV] = node
         self._node[page] = node
 
-    def _touch(self, page: int) -> None:
-        """Move a resident page to the hot end of the ring."""
-        node = self._node[page]
-        prev = node[_PREV]
-        nxt = node[_NEXT]
-        prev[_NEXT] = nxt
-        nxt[_PREV] = prev
-        sentinel = self._sentinel
-        hot = sentinel[_PREV]
-        node[_PREV] = hot
-        node[_NEXT] = sentinel
-        hot[_NEXT] = node
-        sentinel[_PREV] = node
-
     def _evict(self, node: List) -> int:
         prev = node[_PREV]
         nxt = node[_NEXT]
@@ -134,7 +120,8 @@ class LRUPolicy(_LinkedOrderPolicy):
     name = "LRU"
 
     def on_hit(self, page: int) -> None:
-        # _touch, inlined: this runs once per buffer hit.
+        # Move the page to the hot end of the ring, inlined: this runs
+        # once per buffer hit.
         node = self._node[page]
         prev = node[_PREV]
         nxt = node[_NEXT]
@@ -160,7 +147,7 @@ class MRUPolicy(_LinkedOrderPolicy):
     name = "MRU"
 
     def on_hit(self, page: int) -> None:
-        # _touch, inlined (see LRUPolicy.on_hit).
+        # The hot-end move of LRUPolicy.on_hit.
         node = self._node[page]
         prev = node[_PREV]
         nxt = node[_NEXT]

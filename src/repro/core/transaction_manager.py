@@ -95,11 +95,11 @@ class TransactionManager:
         if not locks.admission.try_acquire_inline():
             yield locks.admission_request
         # Sorted once; the lock managers' acquire and release sweeps
-        # both consume this list (``presorted``), instead of each
-        # re-deriving sorted(set(...)) from the raw trace.
+        # both consume this list instead of each re-deriving
+        # sorted(set(...)) from the raw trace.
         distinct = sorted(txn.distinct_objects)
         writes = {oid for oid, is_write in txn.accesses if is_write}
-        step = self.locks.acquire_all_nowait(txn_id, distinct, writes, True)
+        step = self.locks.acquire_all_nowait(txn_id, distinct, writes)
         if step is not None:
             yield from step
 
@@ -129,7 +129,7 @@ class TransactionManager:
         if cpu_time > 0:
             yield Hold(cpu_time)
 
-        step = self.locks.release_all_nowait(txn_id, distinct, True)
+        step = self.locks.release_all_nowait(txn_id, distinct)
         if step is not None:
             yield from step
         if not locks.admission.release_inline():

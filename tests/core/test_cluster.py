@@ -161,12 +161,6 @@ class TestShardRouter:
         assignments_salted = [salted.primary(p) for p in range(200)]
         assert assignments_plain != assignments_salted
 
-    def test_for_servers_caps_replication(self):
-        router = ShardRouter(4, "hash", total_pages=100, replication=3)
-        shrunk = router.for_servers(2)
-        assert shrunk.servers == 2
-        assert shrunk.replication == 2
-
 
 class TestClusterAssembly:
     def test_model_builds_cluster_views(self):
@@ -334,15 +328,3 @@ class TestNowaitFastPath:
 
 def _drain(step):
     yield from step
-
-
-class TestNodeLockTableGuards:
-    def test_admit_on_node_table_fails_loudly(self):
-        from repro.despy.errors import ResourceError
-
-        model = VOODBSimulation(cluster_config(), seed=1)
-        node_locks = model.cluster.nodes[0].locks
-        with pytest.raises(ResourceError, match="admission scheduler"):
-            next(node_locks.admit())
-        with pytest.raises(ResourceError, match="admission scheduler"):
-            next(node_locks.leave())

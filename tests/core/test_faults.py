@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core import ArrivalConfig, ClusterConfig, VOODBConfig
 from repro.core.failures import (
+    HORIZON_MS,
     MIN_POSITIVE_MS,
     FailureConfig,
     FaultConfig,
@@ -31,11 +32,12 @@ from repro.core.failures import (
 from repro.core.model import VOODBSimulation, run_replication
 from repro.core.parameters import ReplicationConfig
 from repro.despy import RandomStream
-from repro.despy.timebase import MS_PER_TICK, ms_to_ticks
+from repro.despy.timebase import MS_PER_TICK, TICK_HORIZON, ms_to_ticks
 from repro.experiments import SerialExecutor
 from repro.experiments.report import format_scenario, scenario_to_json
 from repro.scenarios import get_scenario, run_scenario
 from repro.systems.o2 import o2_config
+from tests.core.nowait import as_process
 
 RESULTS = Path(__file__).resolve().parents[2] / "results"
 
@@ -115,6 +117,35 @@ class TestRetryConfigValidation:
         config = RetryConfig(timeout_ms=MIN_POSITIVE_MS)
         assert RetryPolicy(config).timeout == 1
 
+    @staticmethod
+    def _largest_multiplier(message):
+        return float(message.rsplit("largest accepted value is ", 1)[1])
+
+    @pytest.mark.parametrize("max_retries", [2, 3, 6])
+    def test_rejects_a_backoff_past_the_tick_horizon(self, max_retries):
+        with pytest.raises(ValueError, match="backoff_multiplier") as error:
+            RetryConfig(backoff_multiplier=1.0e300, max_retries=max_retries)
+        largest = self._largest_multiplier(str(error.value))
+        # The largest accepted multiplier itself validates, and its
+        # longest backoff (full jitter, before the last retry) stays
+        # within the horizon.
+        config = RetryConfig(backoff_multiplier=largest, max_retries=max_retries)
+        longest = (
+            ms_to_ticks(config.backoff_base_ms)
+            * largest ** (max_retries - 1)
+            * (1.0 + config.jitter)
+        )
+        assert longest <= TICK_HORIZON * (1 + 1e-9)
+        with pytest.raises(ValueError, match="backoff_multiplier"):
+            RetryConfig(
+                backoff_multiplier=largest * 1.001, max_retries=max_retries
+            )
+
+    @pytest.mark.parametrize("max_retries", [0, 1])
+    def test_multiplier_is_free_without_a_second_retry(self, max_retries):
+        # With at most one retry the multiplier never scales a backoff.
+        RetryConfig(backoff_multiplier=1.0e300, max_retries=max_retries)
+
 
 class TestFaultConfigValidation:
     def test_disabled_by_default(self):
@@ -174,6 +205,16 @@ class TestFaultConfigValidation:
         config = FaultConfig(**{field: MIN_POSITIVE_MS})
         assert config.enabled
         assert ms_to_ticks(getattr(config, field)) == 1
+
+    def test_rejects_a_slowdown_past_the_tick_horizon(self):
+        with pytest.raises(
+            ValueError, match=f"gray_slowdown.*{HORIZON_MS!r}"
+        ):
+            FaultConfig(gray_mtbf_ms=200.0, gray_slowdown=1.0e300)
+        # A gray millisecond stretched by the largest slowdown lasts
+        # exactly up to the horizon.
+        config = FaultConfig(gray_mtbf_ms=200.0, gray_slowdown=HORIZON_MS)
+        assert ms_to_ticks(config.gray_slowdown) == TICK_HORIZON
 
     def test_groups_without_partitions_are_inert(self):
         with pytest.raises(ValueError, match="partition_mtbf_ms > 0"):
@@ -495,7 +536,7 @@ def _full_scan_sweep(cluster):
             node.applied[page] = best
             outcome = node.memory.access(page, True)
             if not outcome.hit and outcome.writeback_pages:
-                yield from cluster._node_writebacks(
+                yield from cluster._node_miss_io(
                     node, outcome.writeback_pages
                 )
             cluster.repair_pages += 1
@@ -693,6 +734,123 @@ def test_page_falling_behind_above_the_cursor_is_visited():
     assert (0, low, 1) in first
     assert (0, high, 2) in first
     assert applied[0][high] == 2
+
+
+# ----------------------------------------------------------------------
+# Fault-layer branches the goldens and benches never enter
+# ----------------------------------------------------------------------
+#: A partition plan that never fires by itself: tests cut the links by
+#: hand, isolating node 0 from the {1, 2} majority.
+MANUAL_CUT = FaultConfig(
+    partition_mtbf_ms=1e9,
+    partition_groups=((0,), (1, 2)),
+    election_delay_ms=5.0,
+)
+
+
+def _page_owned_by(cluster, owners):
+    return next(
+        page
+        for page in range(cluster.object_manager.total_pages)
+        if cluster.router.replicas(page) == owners
+    )
+
+
+def _owner_touches(cluster, owners):
+    return sum(
+        cluster.nodes[o].memory.hits + cluster.nodes[o].memory.misses
+        for o in owners
+    )
+
+
+class TestAbandonedCoordinatorFetch:
+    def test_cut_off_coordinator_waits_for_the_heal(self):
+        """An object-server coordinator cut off from both owners of a
+        page exhausts its retry ladder, abandons, and completes the
+        fetch once the partition heals."""
+        config = fault_config(
+            faults=MANUAL_CUT,
+            cluster=ClusterConfig(
+                servers=3, replication=2, interconnect_mbps=25.0
+            ),
+        )
+        model = VOODBSimulation(config, seed=1)
+        cluster = model.cluster
+        page = _page_owned_by(cluster, (1, 2))
+        heal = ms_to_ticks(200.0)
+        cluster._partition_until = heal
+        before = _owner_touches(cluster, (1, 2))
+        model.sim.process(
+            as_process(cluster.serve_page_nowait, page, False, 0)
+        )
+        model.sim.run(until=0)
+        policy = cluster.retry_policy
+        assert cluster.remote_fetches == 1
+        assert cluster.abandoned_reads == 1
+        assert cluster.remote_timeouts == policy.max_retries + 1
+        assert cluster.remote_retries == policy.max_retries
+        # The request only crosses once the links are back.
+        model.sim.run(until=heal - 1)
+        assert _owner_touches(cluster, (1, 2)) == before
+        model.sim.run()
+        assert _owner_touches(cluster, (1, 2)) == before + 1
+        assert model.sim.now > heal
+
+
+def _write_at(cluster, page, log):
+    step = cluster.serve_page_nowait(page, True)
+    if step is not None:
+        yield from step
+    log.append(cluster.sim.now)
+
+
+class TestElections:
+    def _model(self):
+        config = fault_config(
+            faults=MANUAL_CUT, replication=ReplicationConfig(mode="async")
+        )
+        return VOODBSimulation(config, seed=1)
+
+    def test_second_write_joins_the_election_under_way(self):
+        model = self._model()
+        cluster = model.cluster
+        page = 0
+        owners = cluster.router.replicas(page)
+        cluster.nodes[owners[0]].down_until = 10**15
+        done = []
+        for _writer in range(2):
+            model.sim.process(_write_at(cluster, page, done))
+        model.sim.run()
+        delay = ms_to_ticks(MANUAL_CUT.election_delay_ms)
+        assert cluster.elections == 1
+        assert cluster.promotions == 1
+        leader = cluster._leader[page]
+        assert leader != owners[0]
+        assert cluster.nodes[leader].accesses == 2
+        assert len(done) == 2
+        assert min(done) >= delay
+
+    def test_election_with_every_replica_down_waits_for_a_recovery(self):
+        model = self._model()
+        cluster = model.cluster
+        page = 0
+        owners = cluster.router.replicas(page)
+        # Every replica is still down when the election delay ends.
+        first_back = ms_to_ticks(MANUAL_CUT.election_delay_ms) + 300_000
+        for owner, extra in zip(owners, (600_000, 0, 300_000)):
+            cluster.nodes[owner].down_until = first_back + extra
+        done = []
+        model.sim.process(_write_at(cluster, page, done))
+        model.sim.run(until=first_back - 1)
+        assert cluster.elections == 1
+        assert done == []
+        model.sim.run()
+        # The first replica back is promoted and takes the write.
+        assert cluster.elections == 1
+        assert cluster.promotions == 1
+        assert cluster._leader[page] == owners[1]
+        assert cluster.nodes[owners[1]].accesses == 1
+        assert done and done[0] >= first_back
 
 
 # ----------------------------------------------------------------------

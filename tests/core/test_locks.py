@@ -20,11 +20,11 @@ class TestAdmission:
         peak = [0]
 
         def txn(tag):
-            yield from locks.admit()
+            yield locks.admission_request
             inside.append(tag)
             peak[0] = max(peak[0], locks.admission.in_use)
             yield Hold(ms_to_ticks(5.0))
-            yield from locks.leave()
+            yield locks.admission_release
 
         for tag in range(4):
             sim.process(txn(tag))
@@ -177,11 +177,11 @@ class TestContention:
         finished = []
 
         def writer(tag):
-            yield from locks.admit()
+            yield locks.admission_request
             yield from as_process(locks.acquire_all_nowait, tag, [99], {99})
             yield Hold(ms_to_ticks(1.0))
             yield from as_process(locks.release_all_nowait, tag, [99])
-            yield from locks.leave()
+            yield locks.admission_release
             finished.append(sim.now_ms)
 
         for tag in range(3):

@@ -190,8 +190,7 @@ def test_resharding_covers_every_page_with_no_orphans(
 ):
     """After a server-count change every page still has exactly one
     primary inside the new cluster — no orphaned or doubly owned ids."""
-    before = ShardRouter(servers, placement, total_pages, seed=seed)
-    after = before.for_servers(new_servers)
+    after = ShardRouter(new_servers, placement, total_pages, seed=seed)
     assert after.servers == new_servers
     for page in pages:
         primary = after.primary(page)
@@ -214,74 +213,3 @@ def test_range_router_partitions_the_extent_contiguously(servers, total_pages):
         assert set(owners) == set(range(servers))
     # pages appended past the extent (inserts) land on the last shard
     assert router.primary(total_pages + 10) == servers - 1
-
-
-# ---------------------------------------------------------------------------
-# ClusterLockManager: presorted fast path == canonicalizing slow path
-# ---------------------------------------------------------------------------
-
-def _lock_trace(oid_sets, presorted: bool):
-    """Drive concurrent conservative-2PL transactions through a fresh
-    cluster lock service and record the full grant/release schedule."""
-    import math
-
-    from repro.despy import Hold
-    from repro.core import ClusterConfig
-    from repro.core.model import VOODBSimulation
-    from repro.systems.o2 import o2_config
-
-    config = o2_config(nc=10, no=500, cache_mb=0.25, hotn=30).with_changes(
-        cluster=ClusterConfig(
-            servers=3, placement="hash", interconnect_mbps=math.inf
-        ),
-        multilvl=8,
-    )
-    model = VOODBSimulation(config, seed=1)
-    locks = model.locks
-    trace = []
-
-    def txn(txn_id, raw):
-        ids = sorted(set(raw)) if presorted else list(raw)
-        step = locks.acquire_all_nowait(
-            txn_id, ids, writes=set(ids), presorted=presorted
-        )
-        if step is not None:
-            yield from step
-        trace.append(("granted", txn_id, model.sim.now))
-        yield Hold(5)
-        step = locks.release_all_nowait(txn_id, ids, presorted=presorted)
-        if step is not None:
-            yield from step
-        trace.append(("released", txn_id, model.sim.now))
-
-    for txn_id, raw in enumerate(oid_sets, start=1):
-        model.sim.process(txn(txn_id, raw), name=f"txn-{txn_id}")
-    model.sim.run()
-    counters = (
-        locks.acquisitions,
-        locks.releases,
-        locks.waits,
-        locks.wait_ticks,
-        locks.locked_objects,
-    )
-    return trace, counters
-
-
-@given(
-    oid_sets=st.lists(
-        st.lists(st.integers(min_value=0, max_value=499), min_size=1, max_size=10),
-        min_size=1,
-        max_size=4,
-    )
-)
-@settings(max_examples=40, deadline=None)
-def test_presorted_lock_trace_matches_unsorted(oid_sets):
-    """``presorted=True`` over the canonical (sorted, distinct) ids must
-    replay the exact grant/release schedule of the canonicalizing path
-    fed the raw ids — same total (home node, oid) acquisition order,
-    same waits, same clock."""
-    sorted_trace, sorted_counters = _lock_trace(oid_sets, presorted=True)
-    raw_trace, raw_counters = _lock_trace(oid_sets, presorted=False)
-    assert sorted_trace == raw_trace
-    assert sorted_counters == raw_counters
-    assert sorted_counters[-1] == 0  # every table drained
